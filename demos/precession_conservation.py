@@ -36,7 +36,7 @@ def main():
     print("  (at t = pi the spin has flipped to minus-x, as it should)")
 
     report = conservation_check(state, h, CANONICAL_TRIAD, np.linspace(0.0, 50.0, 501))
-    print(f"\nExact propagator over 501 samples of [0, 50]: max drift = {report.max_drift:.3e}")
+    print(f"\nExact Bloch rotation over 501 samples of [0, 50]: max drift = {report.max_drift:.3e}")
 
     mixed = conservation_check(
         named_state("mixed"), h, CANONICAL_TRIAD, np.linspace(0.0, 10.0, 11)

@@ -3,9 +3,10 @@
 A small numpy library (plus an ``infolab`` command-line tool) covering:
 validated qubit/two-qubit states and measurement triads (:mod:`.states`),
 the Shannon and quadratic Brukner-Zeilinger measures (:mod:`.measures`),
-information vectors with conservation under unitary evolution
-(:mod:`.infospace`), the three-outcome detector-efficiency model where the
-quadratic total fails to be conserved (:mod:`.efficiency`), and the
+information vectors with conservation under unitary evolution, evaluated
+for whole time grids at once by ``info_trajectory`` (:mod:`.infospace`),
+the three-outcome detector-efficiency model where the quadratic total
+fails to be conserved (:mod:`.efficiency`), and the
 correlation-information condition for entanglement (:mod:`.entanglement`).
 """
 
@@ -41,6 +42,7 @@ from .infospace import (
     conservation_check,
     evolve,
     evolve_euler,
+    info_trajectory,
     info_vector,
     rotate_triad,
     rotation_matrix,

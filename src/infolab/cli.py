@@ -43,9 +43,10 @@ from .entanglement import (
     werner_state,
 )
 from .infospace import (
+    ConservationReport,
     Hamiltonian,
-    conservation_check,
     evolve,
+    info_trajectory,
     info_vector,
     total_information,
 )
@@ -61,6 +62,7 @@ from .states import (
 from .verify import DEFAULT_SEED, run_all
 
 PROG = "infolab"
+MAX_TIME_POINTS = 1_000_000  # --times grids above this are refused before allocation
 
 
 class UsageError(Exception):
@@ -170,10 +172,14 @@ def _parse_times(text: str) -> np.ndarray:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise UsageError(f"malformed times {text!r}")
+    if not np.all(np.isfinite((start, stop, step))):
+        raise UsageError(f"times {text!r} must be finite")
     if step <= 0.0 or stop < start:
         raise UsageError(f"times {text!r} must have stop >= start and step > 0")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_TIME_POINTS:
+        raise UsageError(f"times {text!r} give more than {MAX_TIME_POINTS} points")
+    return start + step * np.arange(int(np.floor(span)) + 1)
 
 
 def _write_text(path: str | None, content: str) -> None:
@@ -223,26 +229,26 @@ def _cmd_evolve(config: RunConfig) -> int:
     except ValueError as err:
         raise UsageError(str(err))
     triad = _parse_triad(args.triad) if args.triad else CANONICAL_TRIAD
-    evolved = evolve(state, h, args.t)
+    if not np.isfinite(args.t):
+        raise UsageError(f"--t must be finite, got {args.t!r}")
 
     if not args.report_conservation:
-        print(_fmt_vector(evolved.bloch, config.precision))
+        print(_fmt_vector(evolve(state, h, args.t).bloch, config.precision))
         return 0
 
     if args.times is None:
         raise UsageError("--report-conservation requires --times start:stop:step")
-    report = conservation_check(state, h, triad, _parse_times(args.times))
-    vectors = [info_vector(evolve(state, h, t), triad) for t in report.times]
-    i1 = np.array([v.i1 for v in vectors])
-    i2 = np.array([v.i2 for v in vectors])
-    i3 = np.array([v.i3 for v in vectors])
+    times = _parse_times(args.times)
+    vectors = info_trajectory(state, h, triad, times)
+    report = ConservationReport.from_trajectory(times, vectors)
+    i1, i2, i3 = vectors.T
     totals = report.i_total_values
     if float(np.max(np.abs(i1 * i1 + i2 * i2 + i3 * i3 - totals))) > 1e-12:
         raise ValueError("conservation CSV failed self-validation")
     content = _csv(("t", "i1", "i2", "i3", "I_total"), (report.times, i1, i2, i3, totals))
     _write_text(args.out, content)
     if args.out is not None:
-        print(_fmt_vector(evolved.bloch, config.precision))
+        print(_fmt_vector(evolve(state, h, args.t).bloch, config.precision))
     print(f"max_drift={report.max_drift:.3e}", file=sys.stderr)
     return 0
 

@@ -16,10 +16,19 @@ choice):
   equator by angle w t);
 * hbar = 1 natural units, times dimensionless.
 
-Time evolution uses the exact closed-form 2x2 propagator (axis-angle form of
-the matrix exponential), so conservation can fail only by floating-point
-error.  A fixed-step Euler commutator integrator is included purely to
-demonstrate drift versus step size; it is not used by anything else.
+Time evolution is exact, never an ODE stepper, so conservation can fail
+only by floating-point error.  It has two independent routes:
+
+* single-time ``evolve`` applies the closed-form 2x2 propagator (axis-angle
+  form of the matrix exponential) to the density matrix, and ``info_vector``
+  reads the Born probabilities along each triad direction;
+* ``info_trajectory`` rotates the Bloch vector for all times at once and
+  projects the rows onto the triad, validating the whole array once; it is
+  what ``conservation_check`` and ``infolab evolve`` use.
+
+The tests hold the second route to the first.  A fixed-step Euler commutator
+integrator is included purely to demonstrate drift versus step size; it is
+not used by anything else.
 """
 
 from __future__ import annotations
@@ -72,6 +81,10 @@ class Hamiltonian:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"Hamiltonian must be 2x2, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("Hamiltonian has non-finite entries")
+        if not (np.isfinite(self.hbar) and self.hbar > 0.0):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("Hamiltonian is not Hermitian")
         arr = mat.copy()
@@ -113,6 +126,19 @@ class ConservationReport:
             raise ValueError(f"max_drift {self.max_drift!r} does not match values ({drift!r})")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "i_total_values", values)
+
+    @classmethod
+    def from_trajectory(cls, times, vectors) -> "ConservationReport":
+        """Report for the rows of ``info_trajectory(state, h, triad, times)``."""
+        values = _totals(vectors)
+        drift = float(np.max(np.abs(values - values[0])))
+        return cls(times=times, i_total_values=values, max_drift=drift)
+
+
+def _totals(vectors: np.ndarray) -> np.ndarray:
+    """Row-wise i1^2 + i2^2 + i3^2, summed in the order total_information uses."""
+    i1, i2, i3 = vectors.T
+    return i1 * i1 + i2 * i2 + i3 * i3
 
 
 def info_vector(state, triad: MeasurementTriad) -> InfoVector:
@@ -205,20 +231,57 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     return rho
 
 
-def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) -> ConservationReport:
-    """Sample total information along exact evolution and report the drift.
+def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np.ndarray:
+    """Information vectors along exact evolution: an (n, 3) array, one row per time.
 
-    Drift is measured against the value at the first listed time; for the
-    closed-form propagator it stays at floating-point noise.
+    With H = a0 I + a . sigma, row k is ``triad.matrix @ R(t_k) r0``, where
+    R(t) rotates the initial Bloch vector r0 by 2|a|t/hbar about a/|a|
+    (Rodrigues form, as in ``rotation_matrix``); the trace part a0 is a
+    global phase.  This equals ``info_vector(evolve(state, h, t), triad)``
+    for each t, without building a state per time point.
+
+    The whole array is validated once: times must be finite, non-empty and
+    sorted ascending; every evolved Bloch vector must lie in the unit ball
+    (the positivity that QubitState enforces); every row must satisfy the
+    InfoVector bounds.  The comparisons are written so that NaN fails them.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("need at least one time point")
-    if np.any(np.diff(times) < 0.0):
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if not np.all(np.diff(times) >= 0.0):
         raise ValueError("times must be sorted ascending")
-    state = as_qubit_state(state)
-    values = np.array(
-        [total_information(info_vector(evolve(state, h, t), triad)) for t in times]
-    )
-    drift = float(np.max(np.abs(values - values[0])))
-    return ConservationReport(times=times, i_total_values=values, max_drift=drift)
+    r0 = as_qubit_state(state).bloch
+    _, a = h.pauli_decomposition()
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        bloch = np.broadcast_to(r0, (times.size, 3))
+    else:
+        k = a / norm
+        along = np.dot(k, r0) * k
+        # twice the propagator's half-angle |a| t / hbar, rounded the same way
+        theta = 2.0 * (norm * (times / h.hbar))
+        bloch = (
+            along
+            + np.cos(theta)[:, None] * (r0 - along)
+            + np.sin(theta)[:, None] * np.cross(k, r0)
+        )
+    if not np.all(np.linalg.norm(bloch, axis=1) <= 1.0 + 2.0 * ATOL):
+        raise ValueError("evolved Bloch vector left the unit ball")
+    vectors = bloch @ triad.matrix.T
+    if not np.all(np.abs(vectors) <= 1.0 + INFO_ATOL):
+        raise ValueError("info vector components outside [-1, 1]")
+    if not np.all(_totals(vectors) <= 1.0 + INFO_ATOL):
+        raise ValueError("info vector longer than 1")
+    return vectors
+
+
+def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) -> ConservationReport:
+    """Sample total information along exact evolution and report the drift.
+
+    Drift is measured against the value at the first listed time; for exact
+    evolution it stays at floating-point noise.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    return ConservationReport.from_trajectory(times, info_trajectory(state, h, triad, times))

@@ -192,6 +192,8 @@ def density_from_bloch(r) -> QubitState:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"Bloch vector has non-finite components: {r.tolist()}")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + ATOL:
         raise ValueError(f"Bloch vector norm {norm!r} is outside the unit ball")

@@ -152,7 +152,7 @@ def test_criterion_5_conservation():
                 )
         assert worst_drift < 1e-10, f"drift {worst_drift:.3e}"
 
-    _criterion("criterion-5-conservation-suite", 5.0, body)
+    _criterion("criterion-5-conservation-suite", 1.0, body)
 
 
 def test_criterion_6_triad_rotation_invariance():

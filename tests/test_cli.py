@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import infolab.cli as cli
 from infolab.cli import _resolve_seed, parse_and_dispatch, reproduce_figures
 from infolab.efficiency import EfficiencyModel, K_THREE, bz_total_closed, thresholds
 from infolab.verify import DEFAULT_SEED
@@ -161,6 +162,55 @@ class TestEvolveCommand:
         assert run(capsys, *args, "--out", str(first))[0] == 0
         assert run(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+EVOLVE = ("evolve", "--state", "plus-x", "--hamiltonian", "0,0,1")
+REPORT = (*EVOLVE, "--t", "1", "--report-conservation", "--times")
+
+
+class TestMalformedEvolve:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evolve", "--state", "plus-x", "--hamiltonian", "nan,0,1", "--t", "1"),
+            ("evolve", "--state", "nan,0,0", "--hamiltonian", "0,0,1", "--t", "1"),
+            ("qubit", "info-vector", "--state", "nan,0,0"),
+            (*EVOLVE, "--t", "nan"),
+            (*EVOLVE, "--t", "inf"),
+            (*EVOLVE, "--t", "-inf", "--report-conservation", "--times", "0:1:0.5"),
+            (*REPORT, "nan:1:0.5"),
+            (*REPORT, "0:inf:0.5"),
+            (*REPORT, "0:1:nan"),
+            (*REPORT, "0:1e9:1e-9"),  # 1e18 points: refused before anything is allocated
+            (*REPORT, "-1e308:1e308:1e-300"),  # span overflows to inf
+        ],
+    )
+    def test_usage_error_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_point_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TIME_POINTS", 11)
+        assert cli._parse_times("0:1:0.1").size == 11
+        with pytest.raises(cli.UsageError, match="more than 11 points"):
+            cli._parse_times("0:1.1:0.1")
+
+    def test_report_evolves_each_point_once(self, monkeypatch, tmp_path, capsys):
+        calls = {"trajectory": 0, "evolve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "info_trajectory", counted("trajectory", cli.info_trajectory))
+        monkeypatch.setattr(cli, "evolve", counted("evolve", cli.evolve))
+        code, _, _ = run(capsys, *REPORT, "0:10:0.1", "--out", str(tmp_path / "r.csv"))
+        assert code == 0
+        assert calls == {"trajectory": 1, "evolve": 1}  # the grid once, plus --t for stdout
 
 
 class TestEfficiencyCommands:

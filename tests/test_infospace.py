@@ -1,7 +1,10 @@
 """Tests for information vectors, triad rotations, and unitary evolution."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infolab.infospace import (
     ConservationReport,
@@ -10,6 +13,7 @@ from infolab.infospace import (
     conservation_check,
     evolve,
     evolve_euler,
+    info_trajectory,
     info_vector,
     rotate_triad,
     rotation_matrix,
@@ -163,6 +167,124 @@ class TestEvolve:
         a0, a = h.pauli_decomposition()
         rebuilt = a0 * np.eye(2) + Hamiltonian.from_pauli_coefficients(a).matrix
         np.testing.assert_allclose(rebuilt, h.matrix, atol=1e-12)
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+class TestNonFiniteInput:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        st.integers(0, 2),
+        NON_FINITE,
+    )
+    def test_density_from_bloch_rejects(self, finite, index, bad):
+        r = np.array(finite) / np.sqrt(3.0)
+        r[index] = bad
+        with pytest.raises(ValueError):
+            density_from_bloch(r)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        st.integers(0, 3),
+        st.booleans(),
+        NON_FINITE,
+    )
+    def test_hamiltonian_rejects_matrix_entry(self, coeffs, entry, imaginary, bad):
+        matrix = Hamiltonian.from_pauli_coefficients(coeffs).matrix.copy()
+        matrix.flat[entry] += 1j * bad if imaginary else bad
+        with pytest.raises(ValueError):
+            Hamiltonian(matrix)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), st.integers(0, 2), NON_FINITE)
+    def test_hamiltonian_rejects_pauli_coefficient(self, coeffs, index, bad):
+        coeffs[index] = bad
+        with pytest.raises(ValueError):
+            Hamiltonian.from_pauli_coefficients(coeffs)
+
+    @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_hamiltonian_rejects_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            Hamiltonian(np.eye(2), hbar=hbar)
+
+
+def _born_route(state, h, triad, times):
+    """Independent oracle: propagator on rho, then Born probabilities per time."""
+    return np.array([info_vector(evolve(state, h, t), triad).as_array() for t in times])
+
+
+class TestInfoTrajectory:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_propagator_and_born_route(self, seed):
+        # even seeds pure, odd seeds mixed; a trace offset, hbar != 1 and a
+        # random triad each time
+        rng = np.random.default_rng(1000 + seed)
+        state = random_state(seed, pure=seed % 2 == 0)
+        base = Hamiltonian.from_pauli_coefficients(rng.normal(size=3) * 2.0)
+        h = Hamiltonian(base.matrix + rng.normal() * np.eye(2), hbar=float(rng.uniform(0.3, 3.0)))
+        triad = random_triad(seed)
+        times = np.sort(rng.uniform(0.0, 20.0, 40))
+        np.testing.assert_allclose(
+            info_trajectory(state, h, triad, times), _born_route(state, h, triad, times), rtol=0, atol=1e-12
+        )
+
+    def test_zero_hamiltonian_is_broadcast(self):
+        state = random_state(41, pure=False)
+        triad = random_triad(41)
+        h = Hamiltonian(0.7 * np.eye(2))  # trace part only: no rotation
+        times = np.linspace(0.0, 5.0, 7)
+        rows = info_trajectory(state, h, triad, times)
+        assert rows.shape == (7, 3)
+        np.testing.assert_allclose(rows, _born_route(state, h, triad, times), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rows, np.tile(triad.matrix @ state.bloch, (7, 1)))
+
+    def test_single_time_point(self):
+        state = random_state(43, pure=True)
+        h = random_hamiltonian(43)
+        triad = random_triad(43)
+        rows = info_trajectory(state, h, triad, 2.5)
+        assert rows.shape == (1, 3)
+        np.testing.assert_allclose(rows, _born_route(state, h, triad, [2.5]), rtol=0, atol=1e-12)
+
+    def test_conservation_check_reports_trajectory_totals(self):
+        state = random_state(47, pure=False)
+        h = random_hamiltonian(47)
+        times = np.linspace(0.0, 10.0, 1000)
+        rows = info_trajectory(state, h, CANONICAL_TRIAD, times)
+        report = conservation_check(state, h, CANONICAL_TRIAD, times)
+        np.testing.assert_array_equal(report.times, times)
+        np.testing.assert_allclose(report.i_total_values, np.sum(rows * rows, axis=1), rtol=0, atol=1e-15)
+        assert report.max_drift < 1e-12
+
+    @pytest.mark.parametrize(
+        "times, match",
+        [([], "at least one"), ([0.0, np.nan], "finite"), ([0.0, np.inf], "finite"), ([2.0, 1.0], "sorted")],
+    )
+    def test_rejects_bad_times(self, times, match):
+        with pytest.raises(ValueError, match=match):
+            info_trajectory(named_state("plus-x"), random_hamiltonian(8), CANONICAL_TRIAD, times)
+
+    def test_rejects_nan_state(self):
+        # a raw NaN matrix passes QubitState; the unit-ball check must not
+        with pytest.raises(ValueError, match="unit ball"):
+            info_trajectory(np.full((2, 2), np.nan), random_hamiltonian(9), CANONICAL_TRIAD, [0.0])
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (2.0 * np.eye(3), "components"),
+            ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], "longer"),
+            ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "components"),
+        ],
+    )
+    def test_row_bounds_checked(self, rows, match):
+        # a stand-in exposing only .matrix reaches the InfoVector bound checks
+        stand_in = SimpleNamespace(matrix=np.array(rows))
+        with pytest.raises(ValueError, match=match):
+            info_trajectory(named_state("plus-x"), random_hamiltonian(10), stand_in, [0.0])
 
 
 class TestEulerStepperDrift:
