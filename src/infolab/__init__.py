@@ -73,7 +73,9 @@ from .states import (
     born_probabilities,
     density_from_bloch,
     named_state,
+    random_direction,
     random_pure_state,
+    random_qubit_state,
     random_triad,
 )
 

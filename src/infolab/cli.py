@@ -62,7 +62,7 @@ from .states import (
 from .verify import DEFAULT_SEED, run_all
 
 PROG = "infolab"
-MAX_TIME_POINTS = 1_000_000  # --times grids above this are refused before allocation
+MAX_GRID_POINTS = 1_000_000  # larger --times/--steps grids are refused before allocation
 
 
 class UsageError(Exception):
@@ -76,12 +76,9 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation: subcommand name, parsed flags, output, seed,
-    display precision (>= 1)."""
+    """Resolved invocation: parsed flags, seed, display precision (>= 1)."""
 
-    subcommand: str
     args: argparse.Namespace
-    out: str | None
     seed: int
     precision: int
 
@@ -177,8 +174,8 @@ def _parse_times(text: str) -> np.ndarray:
     if step <= 0.0 or stop < start:
         raise UsageError(f"times {text!r} must have stop >= start and step > 0")
     span = (stop - start) / step + 1e-9
-    if not span < MAX_TIME_POINTS:
-        raise UsageError(f"times {text!r} give more than {MAX_TIME_POINTS} points")
+    if not span < MAX_GRID_POINTS:
+        raise UsageError(f"times {text!r} give more than {MAX_GRID_POINTS} points")
     return start + step * np.arange(int(np.floor(span)) + 1)
 
 
@@ -254,6 +251,8 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 
 def _sweep_or_usage(eta_min: float, eta_max: float, steps: int) -> eff.SweepTable:
+    if steps > MAX_GRID_POINTS:
+        raise UsageError(f"--steps {steps} gives more than {MAX_GRID_POINTS} points")
     try:
         table = eff.ratio_sweep(eta_min, eta_max, steps)
     except ValueError as err:
@@ -475,9 +474,7 @@ def parse_and_dispatch(argv) -> int:
     try:
         args = parser.parse_args(_merge_value_flags(argv))
         config = RunConfig(
-            subcommand=args.subcommand,
             args=args,
-            out=getattr(args, "out", None),
             seed=_resolve_seed(args.seed),
             precision=args.precision,
         )

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import bz_elementary
-from .states import ATOL, Direction, PAULIS, QubitState, as_direction, as_qubit_state
+from .states import (
+    ATOL,
+    PAULIS,
+    Direction,
+    QubitState,
+    _check_density,
+    as_direction,
+    as_qubit_state,
+)
 
 PARALLEL_WARN_TOL = 1e-9
 
@@ -41,13 +49,7 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace is {trace}, expected 1")
-        if float(np.min(np.linalg.eigvalsh(rho))) < -ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        _check_density(rho, ATOL)
         arr = rho.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "rho", arr)

@@ -61,9 +61,9 @@ class InfoVector:
 
     def __post_init__(self):
         comps = (self.i1, self.i2, self.i3)
-        if any(abs(c) > 1.0 + INFO_ATOL for c in comps):
+        if not all(abs(c) <= 1.0 + INFO_ATOL for c in comps):
             raise ValueError(f"info vector components outside [-1, 1]: {comps}")
-        if sum(c * c for c in comps) > 1.0 + INFO_ATOL:
+        if not sum(c * c for c in comps) <= 1.0 + INFO_ATOL:
             raise ValueError(f"info vector longer than 1: {comps}")
 
     def as_array(self) -> np.ndarray:

@@ -83,7 +83,7 @@ class MeasureResult:
     def __post_init__(self):
         if self.measure_kind not in ("shannon", "bz"):
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
-        if self.value < 0.0 or self.value > self.k + 1e-12:
+        if not 0.0 <= self.value <= self.k + 1e-12:
             raise ValueError(
                 f"{self.measure_kind} value {self.value!r} outside [0, {self.k!r}]"
             )

@@ -7,6 +7,8 @@ to share across threads.
 
 Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
+Every value type rejects non-finite input.  The seeded samplers at the end
+are the ones the ``verify`` checks and the test suite draw from.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class ProbDist:
         if np.any(probs < -ATOL) or np.any(probs > 1.0 + ATOL):
             raise ValueError(f"probabilities outside [0, 1]: {probs.tolist()}")
         total = float(probs.sum())
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:  # also rejects NaN entries
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", _frozen(probs, float))
 
@@ -91,6 +93,9 @@ class QubitState:
 
 
 def _check_density(rho: np.ndarray, atol: float) -> None:
+    """Finite, Hermitian, unit trace and positive within atol (any size)."""
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > atol:
         raise ValueError("density matrix is not Hermitian")
     trace = complex(np.trace(rho))
@@ -115,7 +120,7 @@ class Direction:
         if vec.shape != (3,):
             raise ValueError(f"direction must have 3 components, got {vec.shape}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"direction norm is {norm!r}, expected 1")
         object.__setattr__(self, "vec", _frozen(vec, float))
 
@@ -124,8 +129,8 @@ class Direction:
         """Build a Direction by rescaling an arbitrary nonzero 3-vector."""
         vec = np.asarray(values, dtype=float).reshape(-1)
         norm = float(np.linalg.norm(vec))
-        if norm <= 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"cannot normalize {vec.tolist()}: need a finite nonzero vector")
         return cls(vec / norm)
 
 
@@ -212,15 +217,33 @@ def born_probabilities(state, direction) -> ProbDist:
 # Seeded pseudo-randomness uses NumPy's default_rng (PCG64) throughout so the
 # suite is reproducible: the same seed always yields the same draws.
 
-def random_pure_state(seed=None) -> QubitState:
-    """Pure qubit state drawn uniformly from the Bloch sphere surface."""
+def random_direction(seed=None) -> Direction:
+    """Direction drawn uniformly from the unit sphere; a passed Generator is
+    drawn from in place, so successive calls continue its stream."""
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=3)
     norm = float(np.linalg.norm(vec))
     while norm < 1e-12:  # astronomically rare; keeps the draw well-defined
         vec = rng.normal(size=3)
         norm = float(np.linalg.norm(vec))
-    return density_from_bloch(vec / norm)
+    return Direction(vec / norm)
+
+
+def random_qubit_state(seed=None, pure: bool | None = None) -> QubitState:
+    """Qubit state along a uniform random direction: on the Bloch sphere if
+    pure, else at a radius uniform in [0, 1); ``pure=None`` flips a fair coin.
+    Draw order: direction, coin (if ``pure`` is None), radius (if mixed)."""
+    rng = np.random.default_rng(seed)
+    direction = random_direction(rng).vec
+    if pure is None:
+        pure = bool(rng.random() < 0.5)
+    radius = 1.0 if pure else float(rng.random())
+    return density_from_bloch(radius * direction)
+
+
+def random_pure_state(seed=None) -> QubitState:
+    """Pure qubit state drawn uniformly from the Bloch sphere surface."""
+    return random_qubit_state(seed, pure=True)
 
 
 def random_triad(seed=None) -> MeasurementTriad:

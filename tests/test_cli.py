@@ -169,6 +169,8 @@ REPORT = (*EVOLVE, "--t", "1", "--report-conservation", "--times")
 
 
 class TestMalformedEvolve:
+    """Malformed input to any subcommand: exit 2, one ``error:`` line, no stdout."""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -183,6 +185,13 @@ class TestMalformedEvolve:
             (*REPORT, "0:1:nan"),
             (*REPORT, "0:1e9:1e-9"),  # 1e18 points: refused before anything is allocated
             (*REPORT, "-1e308:1e308:1e-300"),  # span overflows to inf
+            ("measure", "bz", "--probs", "nan,nan"),
+            ("measure", "shannon", "--probs", "nan,0.5"),
+            ("qubit", "info-vector", "--state", "plus-z", "--triad", "nan,0,0:0,1,0:0,0,1"),
+            ("qubit", "info-vector", "--state", "plus-z", "--triad", "inf,0,0:0,1,0:0,0,1"),
+            (*EVOLVE, "--t", "1", "--triad", "nan,0,0:0,1,0:0,0,1"),
+            ("entangle", "icorr", "--state", "bell:psi-", "--d1", "nan,0,0", "--d2", "0,1,0"),
+            ("entangle", "icorr", "--state", "bell:psi-", "--d1", "inf,0,0", "--d2", "0,1,0"),
         ],
     )
     def test_usage_error_with_one_error_line(self, capsys, argv):
@@ -191,11 +200,15 @@ class TestMalformedEvolve:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_point_cap_boundary(self, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_TIME_POINTS", 11)
+    def test_point_cap_boundary(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
         assert cli._parse_times("0:1:0.1").size == 11
         with pytest.raises(cli.UsageError, match="more than 11 points"):
             cli._parse_times("0:1.1:0.1")
+        code, out, _ = run(capsys, "efficiency", "sweep", "--steps", "11")
+        assert code == 0 and len(out.splitlines()) == 12
+        code, out, err = run(capsys, "efficiency", "sweep", "--steps", "12")
+        assert code == 2 and out == "" and err == "error: --steps 12 gives more than 11 points\n"
 
     def test_report_evolves_each_point_once(self, monkeypatch, tmp_path, capsys):
         calls = {"trajectory": 0, "evolve": 0}

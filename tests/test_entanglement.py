@@ -21,8 +21,9 @@ from infolab.states import (
     X_DIR,
     Y_DIR,
     Z_DIR,
-    density_from_bloch,
     named_state,
+    random_direction,
+    random_qubit_state,
 )
 
 SINGLET_RHO = 0.5 * np.array(
@@ -36,15 +37,9 @@ SINGLET_RHO = 0.5 * np.array(
 )
 
 
-def random_direction(rng) -> Direction:
-    vec = rng.normal(size=3)
-    return Direction(vec / np.linalg.norm(vec))
-
-
-def random_qubit(rng):
-    vec = rng.normal(size=3)
-    vec /= np.linalg.norm(vec)
-    return density_from_bloch(rng.random() * vec)
+def mixed_product(rng) -> TwoQubitState:
+    first = random_qubit_state(rng, pure=False)
+    return product_state(first, random_qubit_state(rng, pure=False))
 
 
 def correlation_oracle(state, a, b) -> float:
@@ -118,7 +113,7 @@ class TestCorrelation:
     def test_agrees_with_projector_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            state = product_state(random_qubit(rng), random_qubit(rng))
+            state = mixed_product(rng)
             a, b = random_direction(rng), random_direction(rng)
             assert correlation(state, a, b) == pytest.approx(
                 correlation_oracle(state, a, b), abs=1e-12
@@ -163,10 +158,7 @@ class TestICorr:
         rng = np.random.default_rng(19)
         for _ in range(30):
             mix = rng.dirichlet(np.ones(2))
-            rho = (
-                mix[0] * product_state(random_qubit(rng), random_qubit(rng)).rho
-                + mix[1] * bell_state("psi-").rho
-            )
+            rho = mix[0] * mixed_product(rng).rho + mix[1] * bell_state("psi-").rho
             state = TwoQubitState(rho)
             d1 = random_direction(rng)
             ortho = np.cross(d1.vec, random_direction(rng).vec)
@@ -193,7 +185,7 @@ class TestICorr:
     def test_product_states_bounded_by_one_bit(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            state = product_state(random_qubit(rng), random_qubit(rng))
+            state = mixed_product(rng)
             d1 = random_direction(rng)
             ortho = np.cross(d1.vec, random_direction(rng).vec)
             norm = np.linalg.norm(ortho)
@@ -212,7 +204,7 @@ class TestMaxICorr:
     def test_product_states_stay_below_one(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            state = product_state(random_qubit(rng), random_qubit(rng))
+            state = mixed_product(rng)
             assert max_i_corr(state).total_bits <= 1.0 + 1e-9
 
     def test_aligned_product_attains_one(self):
@@ -241,7 +233,7 @@ class TestInfoCondition:
     def test_product_states_are_not_flagged(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            state = product_state(random_qubit(rng), random_qubit(rng))
+            state = mixed_product(rng)
             entangled, _ = info_condition_entangled(state)
             assert not entangled
 

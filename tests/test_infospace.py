@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infolab.entanglement import TwoQubitState
 from infolab.infospace import (
     ConservationReport,
     Hamiltonian,
@@ -22,22 +23,17 @@ from infolab.infospace import (
 from infolab.states import (
     CANONICAL_TRIAD,
     Direction,
+    ProbDist,
+    QubitState,
     Y_DIR,
     Z_DIR,
     density_from_bloch,
     named_state,
+    random_direction,
     random_pure_state,
+    random_qubit_state,
     random_triad,
 )
-
-
-def random_state(seed, pure=None):
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=3)
-    vec /= np.linalg.norm(vec)
-    if pure is None:
-        pure = bool(rng.random() < 0.5)
-    return density_from_bloch(vec if pure else rng.random() * vec)
 
 
 def random_hamiltonian(seed):
@@ -63,7 +59,7 @@ class TestInfoVector:
         assert (iv.i1, iv.i2, iv.i3) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-12)
 
     def test_matches_bloch_in_triad_basis(self):
-        state = random_state(5)
+        state = random_qubit_state(5)
         triad = random_triad(5)
         np.testing.assert_allclose(
             info_vector(state, triad).as_array(), triad.matrix @ state.bloch, atol=1e-12
@@ -122,7 +118,7 @@ class TestRotateTriad:
 
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
-        state = random_state(17)
+        state = random_qubit_state(17)
         evolved = evolve(state, Hamiltonian(np.zeros((2, 2))), 3.7)
         np.testing.assert_allclose(evolved.rho, state.rho, atol=1e-15)
 
@@ -138,7 +134,7 @@ class TestEvolve:
         np.testing.assert_allclose(evolved.rho, named_state("plus-z").rho, atol=1e-12)
 
     def test_trace_part_of_hamiltonian_is_irrelevant(self):
-        state = random_state(23)
+        state = random_qubit_state(23)
         base = Hamiltonian.from_pauli_coefficients((0.4, -0.2, 0.9))
         shifted = Hamiltonian(base.matrix + 1.7 * np.eye(2))
         np.testing.assert_allclose(
@@ -157,7 +153,7 @@ class TestEvolve:
     def test_preserves_density_invariants(self):
         # QubitState construction re-validates hermiticity/trace/positivity
         for seed in range(50):
-            state = random_state(seed)
+            state = random_qubit_state(seed)
             evolved = evolve(state, random_hamiltonian(seed + 1000), 4.2)
             assert abs(np.trace(evolved.rho) - 1.0) <= 1e-12
             assert abs(evolved.purity - state.purity) <= 1e-12
@@ -205,6 +201,25 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             Hamiltonian.from_pauli_coefficients(coeffs)
 
+    @pytest.mark.parametrize(
+        "build, valid",
+        [
+            (ProbDist, [0.2, 0.3, 0.5]),
+            (Direction, [0.6, 0.0, 0.8]),
+            (Direction.normalized, [1.0, -2.0, 3.0]),
+            (lambda comps: InfoVector(*comps), [0.1, -0.2, 0.3]),
+            (QubitState, np.eye(2, dtype=complex) / 2.0),
+            (TwoQubitState, np.eye(4, dtype=complex) / 4.0),
+        ],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.integers(0, 15), bad=NON_FINITE)
+    def test_value_types_reject_any_component(self, build, valid, index, bad):
+        values = np.array(valid)
+        values.flat[index % values.size] = bad
+        with pytest.raises(ValueError):
+            build(values)
+
     @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_hamiltonian_rejects_hbar(self, hbar):
         with pytest.raises(ValueError, match="hbar"):
@@ -222,7 +237,7 @@ class TestInfoTrajectory:
         # even seeds pure, odd seeds mixed; a trace offset, hbar != 1 and a
         # random triad each time
         rng = np.random.default_rng(1000 + seed)
-        state = random_state(seed, pure=seed % 2 == 0)
+        state = random_qubit_state(seed, pure=seed % 2 == 0)
         base = Hamiltonian.from_pauli_coefficients(rng.normal(size=3) * 2.0)
         h = Hamiltonian(base.matrix + rng.normal() * np.eye(2), hbar=float(rng.uniform(0.3, 3.0)))
         triad = random_triad(seed)
@@ -232,7 +247,7 @@ class TestInfoTrajectory:
         )
 
     def test_zero_hamiltonian_is_broadcast(self):
-        state = random_state(41, pure=False)
+        state = random_qubit_state(41, pure=False)
         triad = random_triad(41)
         h = Hamiltonian(0.7 * np.eye(2))  # trace part only: no rotation
         times = np.linspace(0.0, 5.0, 7)
@@ -242,7 +257,7 @@ class TestInfoTrajectory:
         np.testing.assert_array_equal(rows, np.tile(triad.matrix @ state.bloch, (7, 1)))
 
     def test_single_time_point(self):
-        state = random_state(43, pure=True)
+        state = random_qubit_state(43, pure=True)
         h = random_hamiltonian(43)
         triad = random_triad(43)
         rows = info_trajectory(state, h, triad, 2.5)
@@ -250,7 +265,7 @@ class TestInfoTrajectory:
         np.testing.assert_allclose(rows, _born_route(state, h, triad, [2.5]), rtol=0, atol=1e-12)
 
     def test_conservation_check_reports_trajectory_totals(self):
-        state = random_state(47, pure=False)
+        state = random_qubit_state(47, pure=False)
         h = random_hamiltonian(47)
         times = np.linspace(0.0, 10.0, 1000)
         rows = info_trajectory(state, h, CANONICAL_TRIAD, times)
@@ -268,8 +283,7 @@ class TestInfoTrajectory:
             info_trajectory(named_state("plus-x"), random_hamiltonian(8), CANONICAL_TRIAD, times)
 
     def test_rejects_nan_state(self):
-        # a raw NaN matrix passes QubitState; the unit-ball check must not
-        with pytest.raises(ValueError, match="unit ball"):
+        with pytest.raises(ValueError, match="non-finite"):
             info_trajectory(np.full((2, 2), np.nan), random_hamiltonian(9), CANONICAL_TRIAD, [0.0])
 
     @pytest.mark.parametrize(
@@ -343,9 +357,9 @@ class TestInvariances:
     def test_triad_rotation_invariance(self):
         rng = np.random.default_rng(99)
         for _ in range(200):
-            state = random_state(rng.integers(1 << 31))
+            state = random_qubit_state(rng.integers(1 << 31))
             triad = random_triad(rng.integers(1 << 31))
-            axis = Direction.normalized(rng.normal(size=3))
+            axis = random_direction(rng)
             rotated = rotate_triad(triad, axis, rng.uniform(0, 2 * np.pi))
             before = total_information(info_vector(state, triad))
             after = total_information(info_vector(state, rotated))
@@ -355,7 +369,7 @@ class TestInvariances:
         # evolving the state equals counter-rotating the triad by 2|a|t
         rng = np.random.default_rng(7)
         for _ in range(100):
-            state = random_state(rng.integers(1 << 31))
+            state = random_qubit_state(rng.integers(1 << 31))
             coeffs = rng.normal(size=3)
             norm = np.linalg.norm(coeffs)
             if norm < 1e-6:

@@ -17,7 +17,9 @@ from infolab.states import (
     born_probabilities,
     density_from_bloch,
     named_state,
+    random_direction,
     random_pure_state,
+    random_qubit_state,
     random_triad,
 )
 
@@ -135,9 +137,7 @@ class TestBornProbabilities:
     @settings(max_examples=200, deadline=None)
     def test_bounds_and_normalization(self, seed, dir_seed):
         state = density_from_bloch(bloch_in_ball(seed))
-        vec = np.random.default_rng(dir_seed).normal(size=3)
-        direction = Direction(vec / np.linalg.norm(vec))
-        probs = born_probabilities(state, direction).probs
+        probs = born_probabilities(state, random_direction(dir_seed)).probs
         assert np.all(probs >= -1e-12) and np.all(probs <= 1 + 1e-12)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -183,10 +183,30 @@ class TestRandomSampling:
         np.testing.assert_array_equal(a.rho, b.rho)
         ta, tb = random_triad(7), random_triad(7)
         np.testing.assert_array_equal(ta.matrix, tb.matrix)
+        np.testing.assert_array_equal(random_direction(7).vec, random_direction(7).vec)
+        for pure in (None, True, False):
+            qa, qb = random_qubit_state(7, pure), random_qubit_state(7, pure)
+            np.testing.assert_array_equal(qa.rho, qb.rho)
 
     def test_pure_states_are_pure(self):
         for seed in range(50):
             assert abs(random_pure_state(seed).purity - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(random_direction(seed).vec) - 1.0) <= 1e-12
+            pure = random_qubit_state(seed, pure=True).bloch
+            assert abs(np.linalg.norm(pure) - 1.0) <= 1e-12
+            assert np.linalg.norm(random_qubit_state(seed, pure=False).bloch) < 1.0
+
+    def test_passed_generator_continues_its_stream(self):
+        rng = np.random.default_rng(3)
+        state = random_qubit_state(rng, pure=False)
+        direction = random_direction(rng)
+        replay = np.random.default_rng(3)
+        vec = replay.normal(size=3)
+        radius = replay.random()
+        expected = density_from_bloch(radius * (vec / np.linalg.norm(vec)))
+        np.testing.assert_array_equal(state.rho, expected.rho)
+        vec = replay.normal(size=3)
+        np.testing.assert_array_equal(direction.vec, vec / np.linalg.norm(vec))
 
     def test_sphere_uniformity(self):
         # mean Bloch vector of uniform sphere samples concentrates near zero
