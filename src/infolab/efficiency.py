@@ -26,6 +26,12 @@ third outcome each direction is a two-outcome experiment again.  That ideal
 mode (total of 1 bit) is kept separate in ideal_bz_components /
 ideal_bz_total rather than being silently conflated with the n = 3 model,
 which at eta = 1 still gives (3/2) log2 3 bits.
+
+The closed forms above are written once, in _closed_forms, which works on a
+scalar or an array of eta: the scalar functions wrap it and ratio_sweep calls
+it once for the whole grid.  SweepTable.validate is the one check of a
+sweep's row identities; it compares every row with the generic measures of
+that row's outcome distributions and returns the worst gap.
 """
 
 from __future__ import annotations
@@ -61,29 +67,38 @@ def outcome_probabilities(m: EfficiencyModel) -> tuple[ProbDist, ProbDist, ProbD
     return along_x, along_y, along_z
 
 
-def bz_components(m: EfficiencyModel) -> tuple[float, float, float]:
-    """Closed-form quadratic informations (I1, I2, I3) along x, y, z."""
-    eta = m.eta
+def _closed_forms(eta):
+    """(I1, I2 = I3, I_total, Hx, Hy = Hz) at a scalar or an array of eta.
+
+    The one implementation of the model's closed forms: the scalar wrappers
+    below and ratio_sweep both evaluate it.
+    """
+    eta = np.asarray(eta, dtype=float)
     n3 = normalization_factor(3)
     i1 = n3 * ((eta - 1.0 / 3.0) ** 2 + (eta - 2.0 / 3.0) ** 2 + 1.0 / 9.0)
     i23 = n3 * 1.5 * (eta - 2.0 / 3.0) ** 2
-    return i1, i23, i23
+    total = n3 * (5.0 * eta * eta - 6.0 * eta + 2.0)
+    interior = (0.0 < eta) & (eta < 1.0)
+    p = np.where(interior, eta, 0.5)  # keeps log2 away from 0 at the endpoints
+    hx = np.where(interior, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
+    return i1, i23, total, hx, hx + eta
+
+
+def bz_components(m: EfficiencyModel) -> tuple[float, float, float]:
+    """Closed-form quadratic informations (I1, I2, I3) along x, y, z."""
+    i1, i23, _, _, _ = _closed_forms(m.eta)
+    return float(i1), float(i23), float(i23)
 
 
 def bz_total_closed(m: EfficiencyModel) -> float:
     """Closed-form total I1 + I2 + I3 = (3 log2(3) / 2) (5 eta^2 - 6 eta + 2)."""
-    eta = m.eta
-    return normalization_factor(3) * (5.0 * eta * eta - 6.0 * eta + 2.0)
+    return float(_closed_forms(m.eta)[2])
 
 
 def shannon_components(m: EfficiencyModel) -> tuple[float, float, float]:
     """Shannon uncertainties (Hx, Hy, Hz); Hy = Hz = Hx + eta."""
-    eta = m.eta
-    hx = 0.0
-    if 0.0 < eta < 1.0:
-        hx = -eta * math.log2(eta) - (1.0 - eta) * math.log2(1.0 - eta)
-    hy = hx + eta
-    return hx, hy, hy
+    _, _, _, hx, hy = _closed_forms(m.eta)
+    return float(hx), float(hy), float(hy)
 
 
 def ideal_bz_components() -> tuple[float, float, float]:
@@ -143,37 +158,46 @@ class SweepTable:
     def __len__(self) -> int:
         return self.eta.size
 
-    def validate(self, atol: float = 1e-12) -> None:
-        """Re-check every row identity; raises ValueError on any violation.
+    def validate(self) -> float:
+        """Re-check every row identity and return the worst gap; raises
+        ValueError when a gap exceeds 1e-12 or is NaN.
 
-        Checks, per row: I_total = I1 + I2 + I3 = closed form, ratio =
-        I_total / k, Hy = Hz = Hx + eta, and agreement of each closed-form
-        column with the generic measure applied to the outcome distributions.
+        Checks, per row: I_total = I1 + I2 + I3 = closed form = the generic
+        total, ratio = I_total / k, Hy = Hz = Hx + eta, and agreement of
+        each closed-form column with the generic measure applied to the
+        outcome distributions (the independent oracle).
         """
-        for idx in range(len(self)):
-            model = EfficiencyModel(float(self.eta[idx]))
-            dists = outcome_probabilities(model)
-            generic_bz = tuple(bz_measure(d) for d in dists)
-            generic_h = tuple(shannon(d) for d in dists)
-            row_bz = (self.i1[idx], self.i2[idx], self.i3[idx])
-            checks = [
-                abs(self.i_total[idx] - sum(row_bz)),
-                abs(self.i_total[idx] - bz_total_closed(model)),
-                abs(self.ratio[idx] - self.i_total[idx] / self.k),
-                abs(self.hy[idx] - self.hz[idx]),
-                abs(self.hy[idx] - (self.hx[idx] + model.eta)),
-                max(abs(a - b) for a, b in zip(row_bz, generic_bz)),
-                max(
-                    abs(a - b)
-                    for a, b in zip((self.hx[idx], self.hy[idx], self.hz[idx]), generic_h)
-                ),
-            ]
-            worst = max(checks)
-            if worst > atol:
-                raise ValueError(
-                    f"sweep row {idx} (eta = {self.eta[idx]!r}) violates a row "
-                    f"identity by {worst:.3e}"
-                )
+        # the oracle: generic (bz, bz, bz, H, H, H) of each row's distributions;
+        # an eta outside [0, 1] has none, so its row stays NaN and fails
+        generic = np.full((len(self), 6), np.nan)
+        for idx, eta in enumerate(self.eta.tolist()):
+            if 0.0 <= eta <= 1.0:
+                dists = outcome_probabilities(EfficiencyModel(eta))
+                generic[idx] = [*map(bz_measure, dists), *map(shannon, dists)]
+        total = self.i_total
+        gaps = np.abs(
+            np.column_stack(
+                [
+                    total - (self.i1 + self.i2 + self.i3),
+                    total - _closed_forms(self.eta)[2],
+                    total - (generic[:, 0] + generic[:, 1] + generic[:, 2]),
+                    self.ratio - total / self.k,
+                    self.hy - self.hz,
+                    self.hy - (self.hx + self.eta),
+                    np.column_stack((self.i1, self.i2, self.i3, self.hx, self.hy, self.hz))
+                    - generic,
+                ]
+            )
+        )
+        row_gap = gaps.max(axis=1)  # a NaN anywhere makes its row NaN
+        bad = np.flatnonzero(~(row_gap <= 1e-12))
+        if bad.size:
+            idx = int(bad[0])
+            raise ValueError(
+                f"sweep row {idx} (eta = {float(self.eta[idx])!r}) violates a row "
+                f"identity by {row_gap[idx]:.3e}"
+            )
+        return float(row_gap.max(initial=0.0))
 
 
 def ratio_sweep(eta_min: float, eta_max: float, steps: int) -> SweepTable:
@@ -183,12 +207,5 @@ def ratio_sweep(eta_min: float, eta_max: float, steps: int) -> SweepTable:
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     etas = np.linspace(eta_min, eta_max, steps)
-    rows = []
-    for eta in etas:
-        model = EfficiencyModel(float(eta))
-        i1, i2, i3 = bz_components(model)
-        total = bz_total_closed(model)
-        hx, hy, hz = shannon_components(model)
-        rows.append((i1, i2, i3, total, total / K_THREE, hx, hy, hz))
-    cols = [np.array(col) for col in zip(*rows)]
-    return SweepTable(etas, *cols)
+    i1, i23, total, hx, hyz = _closed_forms(etas)
+    return SweepTable(etas, i1, i23, i23.copy(), total, total / K_THREE, hx, hyz, hyz.copy())

@@ -64,7 +64,7 @@ def bz_elementary(p1: float, p2: float) -> float:
 def binomial_uncertainty(p: float) -> float:
     """Per-trial binomial variance p (1 - p); the seed expression behind the
     quadratic measure.  Maximal (1/4) at p = 1/2."""
-    if p < -ATOL or p > 1.0 + ATOL:
+    if not -ATOL <= p <= 1.0 + ATOL:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return p * (1.0 - p)

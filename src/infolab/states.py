@@ -128,7 +128,13 @@ class Direction:
     def normalized(cls, values) -> "Direction":
         """Build a Direction by rescaling an arbitrary nonzero 3-vector."""
         vec = np.asarray(values, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if norm in (0.0, np.inf):  # the squares may have under- or overflowed
+            scale = float(np.max(np.abs(vec), initial=0.0))
+            if 0.0 < scale < np.inf:
+                vec = vec / scale
+                norm = float(np.linalg.norm(vec))
         if not 0.0 < norm < np.inf:
             raise ValueError(f"cannot normalize {vec.tolist()}: need a finite nonzero vector")
         return cls(vec / norm)

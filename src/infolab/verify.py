@@ -2,9 +2,10 @@
 
 Each check re-derives one of the library's contractual properties from
 scratch (independent oracles where one exists) and either passes or raises
-AssertionError with a diagnostic.  Randomized checks draw from a single
-seeded generator, so a run is reproducible from its seed.  Acceptance
-criteria 4-8 call these checks with their own seeds and runtime budgets.
+AssertionError (or a validating type's ValueError) with a diagnostic.
+Randomized checks draw from a single seeded generator, so a run is
+reproducible from its seed.  Acceptance criteria 4-8 call these checks with
+their own seeds and runtime budgets.
 """
 
 from __future__ import annotations
@@ -237,18 +238,7 @@ def check_total_information_radius(rng) -> str:
 
 
 def check_efficiency_oracle_equivalence(rng) -> str:
-    worst = 0.0
-    for eta in np.linspace(0.0, 1.0, 1001):
-        model = eff.EfficiencyModel(float(eta))
-        dists = eff.outcome_probabilities(model)
-        closed_bz = eff.bz_components(model)
-        generic_bz = tuple(bz_measure(d) for d in dists)
-        closed_h = eff.shannon_components(model)
-        generic_h = tuple(shannon(d) for d in dists)
-        worst = max(worst, *(abs(a - b) for a, b in zip(closed_bz, generic_bz)))
-        worst = max(worst, abs(eff.bz_total_closed(model) - sum(generic_bz)))
-        worst = max(worst, *(abs(a - b) for a, b in zip(closed_h, generic_h)))
-    assert worst <= 1e-12, f"closed forms disagree with generic measure by {worst:.3e}"
+    worst = eff.ratio_sweep(0.0, 1.0, 1001).validate()
     return f"1001 grid points, worst gap {worst:.2e}"
 
 
@@ -422,6 +412,6 @@ def run_all(seed: int = DEFAULT_SEED) -> list[PropertyCheck]:
         try:
             detail = fn(rng)
             results.append(PropertyCheck(name=name, passed=True, detail=detail))
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             results.append(PropertyCheck(name=name, passed=False, detail=str(exc)))
     return results

@@ -320,12 +320,15 @@ class TestEntangleCommands:
         code, out, _ = run(capsys, "qubit", "info-vector", "--state", "-0.6,0,-0.8")
         assert code == 0 and out.strip() == "-0.6,0.0,-0.8"
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
     def test_icorr_normalizes_directions(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "entangle", "icorr", "--state", "bell:psi-", "--d1", "2,0,0", "--d2", "0,0,-3",
-        )
-        assert code == 0 and out == "2.0\n"
+        # squaring 1e200 overflows and 1e-200 underflows; both are still directions
+        for d1, d2 in (("2,0,0", "0,0,-3"), ("1e200,0,0", "0,1,0"), ("1e-200,0,0", "0,1,0")):
+            code, out, err = run(
+                capsys, "entangle", "icorr", "--state", "bell:psi-", "--d1", d1, "--d2", d2
+            )
+            assert code == 0 and out == "2.0\n"
+            assert err == "E1=-1.0 E2=-1.0 I1=1.0 I2=1.0\n"
 
     def test_check_werner(self, capsys):
         code, out, err = run(capsys, "entangle", "check", "--state", "werner:0.8")

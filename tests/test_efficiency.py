@@ -18,7 +18,7 @@ from infolab.efficiency import (
     shannon_components,
     thresholds,
 )
-from infolab.measures import bz_measure, shannon
+from infolab.measures import bz_measure
 
 LOG2_3 = math.log2(3.0)
 
@@ -68,13 +68,6 @@ class TestBzComponents:
         _, i2, i3 = bz_components(EfficiencyModel(2.0 / 3.0))
         assert abs(i2) <= 1e-12 and abs(i3) <= 1e-12
 
-    def test_matches_generic_measure_on_grid(self):
-        for eta in np.linspace(0.0, 1.0, 101):
-            model = EfficiencyModel(float(eta))
-            closed = bz_components(model)
-            generic = [bz_measure(d) for d in outcome_probabilities(model)]
-            np.testing.assert_allclose(closed, generic, atol=1e-12)
-
 
 class TestBzTotal:
     def test_perfect_efficiency(self):
@@ -94,19 +87,6 @@ class TestBzTotal:
         assert bz_total_closed(model) == pytest.approx(oracle, abs=1e-12)
         assert bz_total_closed(model) == pytest.approx(3.0 * LOG2_3, abs=1e-12)
 
-    def test_equals_component_sum_on_grid(self):
-        for eta in np.linspace(0.0, 1.0, 101):
-            model = EfficiencyModel(float(eta))
-            assert bz_total_closed(model) == pytest.approx(
-                sum(bz_components(model)), abs=1e-12
-            )
-
-    def test_quadratic_monotonicity(self):
-        down = [bz_total_closed(EfficiencyModel(float(e))) for e in np.linspace(0.0, 0.6, 100)]
-        up = [bz_total_closed(EfficiencyModel(float(e))) for e in np.linspace(0.6, 1.0, 100)]
-        assert all(b < a for a, b in zip(down, down[1:]))
-        assert all(b > a for a, b in zip(up, up[1:]))
-
 
 class TestShannonComponents:
     def test_half_efficiency_maximum_along_x(self):
@@ -121,13 +101,6 @@ class TestShannonComponents:
     def test_vanishing_efficiency_kills_all_uncertainty(self):
         for value in shannon_components(EfficiencyModel(1e-6)):
             assert value < 3e-5
-
-    def test_matches_generic_entropy_on_grid(self):
-        for eta in np.linspace(0.0, 1.0, 101):
-            model = EfficiencyModel(float(eta))
-            closed = shannon_components(model)
-            generic = [shannon(d) for d in outcome_probabilities(model)]
-            np.testing.assert_allclose(closed, generic, atol=1e-12)
 
     def test_offset_identity(self):
         for eta in np.linspace(0.0, 1.0, 101):
@@ -166,13 +139,6 @@ class TestThresholds:
                     lo = mid
             assert 0.5 * (lo + hi) == pytest.approx(target, abs=1e-12)
 
-    def test_ratio_sign_pattern(self):
-        lo, hi = thresholds()
-        for region, above in (((0.0, lo), True), ((lo, hi), False), ((hi, 1.0), True)):
-            for eta in np.linspace(*region, 102)[1:-1]:
-                ratio = bz_total_closed(EfficiencyModel(float(eta))) / K_THREE
-                assert (ratio > 1.0) == above
-
 
 class TestIdealMode:
     def test_ideal_components(self):
@@ -201,13 +167,20 @@ class TestRatioSweep:
         assert at_06 == pytest.approx(0.3, abs=1e-12)
 
     def test_validate_passes_on_fresh_table(self):
-        ratio_sweep(0.0, 1.0, 51).validate()
+        worst = ratio_sweep(0.0, 1.0, 51).validate()
+        assert isinstance(worst, float) and 0.0 <= worst <= 1e-12
 
     def test_validate_catches_corruption(self):
         table = ratio_sweep(0.0, 1.0, 11)
-        broken = replace(table, hy=table.hy + 1e-6)
-        with pytest.raises(ValueError, match="row identity"):
-            broken.validate()
+        for name in ("hy", "i1"):
+            broken = replace(table, **{name: getattr(table, name) + 1e-6})
+            with pytest.raises(ValueError, match="row identity"):
+                broken.validate()
+        for name in ("eta", "i1", "i2", "i3", "i_total", "ratio", "hx", "hy", "hz"):
+            column = getattr(table, name).copy()
+            column[4] = np.nan
+            with pytest.raises(ValueError, match="row identity"):
+                replace(table, **{name: column}).validate()
 
     def test_usage_errors(self):
         with pytest.raises(ValueError, match="eta_min"):

@@ -29,7 +29,6 @@ from infolab.states import (
     Z_DIR,
     density_from_bloch,
     named_state,
-    random_direction,
     random_pure_state,
     random_qubit_state,
     random_triad,
@@ -351,34 +350,3 @@ class TestConservation:
     def test_report_validates_drift_consistency(self):
         with pytest.raises(ValueError, match="max_drift"):
             ConservationReport(times=[0.0, 1.0], i_total_values=[1.0, 0.8], max_drift=0.0)
-
-
-class TestInvariances:
-    def test_triad_rotation_invariance(self):
-        rng = np.random.default_rng(99)
-        for _ in range(200):
-            state = random_qubit_state(rng.integers(1 << 31))
-            triad = random_triad(rng.integers(1 << 31))
-            axis = random_direction(rng)
-            rotated = rotate_triad(triad, axis, rng.uniform(0, 2 * np.pi))
-            before = total_information(info_vector(state, triad))
-            after = total_information(info_vector(state, rotated))
-            assert abs(before - after) <= 1e-10
-
-    def test_schroedinger_heisenberg_agreement(self):
-        # evolving the state equals counter-rotating the triad by 2|a|t
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            state = random_qubit_state(rng.integers(1 << 31))
-            coeffs = rng.normal(size=3)
-            norm = np.linalg.norm(coeffs)
-            if norm < 1e-6:
-                continue
-            h = Hamiltonian.from_pauli_coefficients(coeffs)
-            t = rng.uniform(0.0, 5.0)
-            evolved = info_vector(evolve(state, h, t), CANONICAL_TRIAD).as_array()
-            counter = info_vector(
-                state,
-                rotate_triad(CANONICAL_TRIAD, Direction(coeffs / norm), -2.0 * norm * t),
-            ).as_array()
-            np.testing.assert_allclose(evolved, counter, atol=1e-10)

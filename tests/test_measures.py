@@ -136,6 +136,8 @@ class TestBinomialUncertainty:
             binomial_uncertainty(-0.1)
         with pytest.raises(ValueError):
             binomial_uncertainty(1.1)
+        with pytest.raises(ValueError):
+            binomial_uncertainty(math.nan)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)

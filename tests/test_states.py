@@ -141,12 +141,6 @@ class TestBornProbabilities:
         assert np.all(probs >= -1e-12) and np.all(probs <= 1 + 1e-12)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
-    def test_pure_state_is_certain_along_own_axis(self):
-        for seed in range(100):
-            state = random_pure_state(seed)
-            probs = born_probabilities(state, Direction(state.bloch)).probs
-            np.testing.assert_allclose(probs, (1.0, 0.0), atol=1e-12)
-
 
 class TestDirectionsAndTriads:
     def test_direction_must_be_unit(self):

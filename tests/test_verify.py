@@ -1,6 +1,7 @@
 """Tests for the invariant-suite runner and its CLI wiring."""
 
 import infolab.cli as cli
+import infolab.verify as verify
 from infolab.measures import bz_measure, shannon
 from infolab.verify import PropertyCheck, find_ordering_witness, run_all
 
@@ -11,6 +12,14 @@ def test_full_suite_passes():
     assert not failed, f"failing properties: {failed}"
     assert len(results) >= 20
     assert all(check.detail for check in results)
+
+
+def test_value_error_is_a_failed_property(monkeypatch):
+    def broken(rng):
+        raise ValueError("row identity broken")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (("broken", broken),))
+    assert run_all() == [PropertyCheck("broken", False, "row identity broken")]
 
 
 def test_find_ordering_witness_margins():
