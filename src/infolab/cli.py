@@ -13,18 +13,26 @@ Conventions:
   I/O errors; every error is a single stderr line starting with ``error:``;
 * values are printed as ``round(value, precision)`` (``--precision``,
   default 6); CSV files use 12-significant-digit formatting and are byte
-  stable for identical invocations;
+  stable for identical invocations; every CSV table (``evolve``,
+  ``efficiency sweep``, ``efficiency figures``) is formatted in ``_csv``;
 * single-qubit states are Bloch triples ``rx,ry,rz`` or named states
   (``plus-x`` ... ``minus-z``, ``mixed``); two-qubit states are
   ``bell:{phi+,phi-,psi+,psi-}``, ``werner:W`` or ``product:S1;S2``;
 * direction vectors are rescaled to unit length, so ``--d1 1,1,0`` works;
 * ``INFOLAB_SEED`` overrides the default seed (42) wherever randomness is
   used; ``--seed`` overrides both.
+
+``build_parser()`` builds the argument parser once per process and returns
+that same parser on every call, so in-process callers of
+``parse_and_dispatch`` do not rebuild it.  Callers must not mutate what it
+returns.  Handlers look up module globals when they run, so a patched
+global takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -63,6 +71,7 @@ from .verify import DEFAULT_SEED, run_all
 
 PROG = "infolab"
 MAX_GRID_POINTS = 1_000_000  # larger --times/--steps grids are refused before allocation
+_CSV_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -93,10 +102,6 @@ def _fmt(value: float, precision: int) -> str:
 
 def _fmt_vector(values, precision: int) -> str:
     return ",".join(_fmt(v, precision) for v in values)
-
-
-def _csv_cell(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def _parse_floats(text: str, count: int | None, what: str) -> np.ndarray:
@@ -187,9 +192,18 @@ def _write_text(path: str | None, content: str) -> None:
 
 
 def _csv(header, columns) -> str:
+    """Header line plus one line per row, every cell as ``%.12g``.
+
+    One row template is applied to each row of the stacked columns; ``%.12g``
+    and ``f"{v:.12g}"`` run the same float-to-string conversion.
+    """
+    row_format = ",".join(["%.12g"] * len(columns))
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_csv_cell(v) for v in row))
+    # one block of rows at a time: stacking and converting the whole table
+    # would hold a Python float per cell, more memory than the CSV text itself
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+        lines.extend(row_format % tuple(row) for row in block.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -374,7 +388,9 @@ def _cmd_verify(config: RunConfig) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process-wide parser; built on first use and shared, so do not mutate it."""
     parser = _Parser(prog=PROG, description="Information measures for qubit experiments")
     parser.add_argument("--seed", type=int, default=None, help="override INFOLAB_SEED")
     parser.add_argument(
@@ -470,9 +486,8 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 def parse_and_dispatch(argv) -> int:
     """Parse argv and run the selected subcommand, mapping errors to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(_merge_value_flags(argv))
+        args = build_parser().parse_args(_merge_value_flags(argv))
         config = RunConfig(
             args=args,
             seed=_resolve_seed(args.seed),

@@ -243,32 +243,33 @@ def check_efficiency_oracle_equivalence(rng) -> str:
 
 
 def check_efficiency_hy_identity(rng) -> str:
-    worst = 0.0
-    for eta in np.linspace(0.0, 1.0, 1001):
-        hx, hy, hz = eff.shannon_components(eff.EfficiencyModel(float(eta)))
-        worst = max(worst, abs(hy - hz), abs(hy - (hx + eta)))
+    etas = np.linspace(0.0, 1.0, 1001)
+    _, _, _, hx, hyz = eff._closed_forms(etas)
+    worst = float(np.max(np.abs(hyz - (hx + etas))))
     assert worst <= 1e-12, f"Hy = Hx + eta violated by {worst:.3e}"
     return f"1001 grid points, worst gap {worst:.2e}"
 
 
 def check_efficiency_ratio_sign(rng) -> str:
     lo, hi = eff.thresholds()
-    for region, expect_above in (((0.0, lo), True), ((lo, hi), False), ((hi, 1.0), True)):
-        etas = np.linspace(region[0], region[1], 102)[1:-1]
-        for eta in etas:
-            ratio = eff.bz_total_closed(eff.EfficiencyModel(float(eta))) / eff.K_THREE
-            if expect_above:
-                assert ratio > 1.0, f"ratio {ratio} not above 1 at eta={eta}"
-            else:
-                assert ratio <= 1.0, f"ratio {ratio} above 1 at eta={eta}"
+    regions = ((0.0, lo, True), (lo, hi, False), (hi, 1.0, True))
+    etas = np.concatenate([np.linspace(a, b, 102)[1:-1] for a, b, _ in regions])
+    above = np.repeat([expect for _, _, expect in regions], 100)
+    ratio = eff._closed_forms(etas)[2] / eff.K_THREE
+    wrong = np.flatnonzero(~np.where(above, ratio > 1.0, ratio <= 1.0))  # NaN is wrong
+    if wrong.size:
+        i = int(wrong[0])
+        side = "not above" if above[i] else "above"
+        raise AssertionError(f"ratio {float(ratio[i])} {side} 1 at eta={etas[i]}")
     return "100 interior points per region"
 
 
 def check_efficiency_monotonicity(rng) -> str:
-    down = [eff.bz_total_closed(eff.EfficiencyModel(float(e))) for e in np.linspace(0.0, 0.6, 200)]
-    up = [eff.bz_total_closed(eff.EfficiencyModel(float(e))) for e in np.linspace(0.6, 1.0, 200)]
-    assert all(b < a for a, b in zip(down, down[1:])), "not decreasing on [0, 0.6]"
-    assert all(b > a for a, b in zip(up, up[1:])), "not increasing on [0.6, 1]"
+    grid = np.concatenate([np.linspace(0.0, 0.6, 200), np.linspace(0.6, 1.0, 200)])
+    totals = eff._closed_forms(grid)[2]
+    down, up = totals[:200], totals[200:]
+    assert np.all(down[1:] < down[:-1]), "not decreasing on [0, 0.6]"
+    assert np.all(up[1:] > up[:-1]), "not increasing on [0.6, 1]"
     return "strictly decreasing then increasing around the eta = 0.6 vertex"
 
 

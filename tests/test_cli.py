@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infolab.cli as cli
 from infolab.cli import _resolve_seed, parse_and_dispatch, reproduce_figures
@@ -350,6 +355,66 @@ class TestEntangleCommands:
     def test_werner_weight_out_of_range(self, capsys):
         code, _, err = run(capsys, "entangle", "check", "--state", "werner:1.5")
         assert code == 2 and err.startswith("error:")
+
+
+def per_cell_csv(header, columns) -> str:
+    """The one-f-string-per-cell join that ``cli._csv`` replaced, kept as its oracle."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_FLOATS = st.one_of(
+    st.floats(),  # any float64: nan, +-inf, subnormals included
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e300, -1e-300, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    n_rows = draw(st.integers(0, 50))
+    columns = draw(
+        st.lists(st.lists(CSV_FLOATS, min_size=n_rows, max_size=n_rows), min_size=1, max_size=9)
+    )
+    # each column either a float64 array or a list of Python floats
+    return [np.array(c, dtype=np.float64) if draw(st.booleans()) else c for c in columns]
+
+
+class TestCsvFormatting:
+    @settings(max_examples=100, deadline=None)
+    @given(csv_tables())
+    def test_matches_per_cell_join(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        assert cli._csv(header, columns) == per_cell_csv(header, columns)
+
+    def test_rows_across_blocks(self):
+        columns = np.random.default_rng(3).normal(size=(3, 2 * cli._CSV_BLOCK_ROWS + 1)) * 1e5
+        assert cli._csv("abc", columns) == per_cell_csv("abc", columns)
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ("evolve", "--state", "plus-x"),  # usage error: required flags missing
+        (*EVOLVE, "--t", "1", "--report-conservation", "--times", "0:2:0.5"),
+        ("measure", "bz", "--probs", "0.3,0.7"),
+        ("efficiency", "thresholds"),
+    )
+
+    def test_shared_parser_leaks_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        in_process = [run(capsys, *argv) for argv in self.SEQUENCE]
+        code, out, err = in_process[0]
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        # the subprocesses import the same infolab sources as this test
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        for argv, expected in zip(self.SEQUENCE, in_process):
+            alone = subprocess.run(
+                [sys.executable, "-m", "infolab.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (alone.returncode, alone.stdout, alone.stderr) == expected, argv
 
 
 class TestSeedResolution:
