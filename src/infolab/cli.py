@@ -473,15 +473,19 @@ def _merge_value_flags(argv) -> list[str]:
 
 
 def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
     env = os.environ.get("INFOLAB_SEED")
-    if env is not None:
+    if flag_value is not None:
+        seed, source = flag_value, "--seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "INFOLAB_SEED"
         except ValueError:
             raise UsageError(f"INFOLAB_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    else:
+        return DEFAULT_SEED
+    if seed < 0:  # numpy's generators take non-negative seeds only
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def parse_and_dispatch(argv) -> int:

@@ -8,7 +8,10 @@ to share across threads.
 Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
 Every value type rejects non-finite input.  The seeded samplers at the end
-are the ones the ``verify`` checks and the test suite draw from.
+are the ones the ``verify`` checks and the test suite draw from: the batch
+samplers ``random_directions`` and ``random_bloch_vectors`` return (n, 3)
+arrays, and ``random_direction``, ``random_qubit_state`` and
+``random_pure_state`` wrap them to return one validated value.
 """
 
 from __future__ import annotations
@@ -223,28 +226,43 @@ def born_probabilities(state, direction) -> ProbDist:
 # Seeded pseudo-randomness uses NumPy's default_rng (PCG64) throughout so the
 # suite is reproducible: the same seed always yields the same draws.
 
-def random_direction(seed=None) -> Direction:
-    """Direction drawn uniformly from the unit sphere; a passed Generator is
-    drawn from in place, so successive calls continue its stream."""
+def random_directions(seed, n: int) -> np.ndarray:
+    """(n, 3) unit vectors drawn uniformly from the sphere; a passed Generator
+    is drawn from in place, so successive calls continue its stream.  Unless
+    a row is redrawn, the rows are n successive ``random_direction`` draws."""
     rng = np.random.default_rng(seed)
-    vec = rng.normal(size=3)
-    norm = float(np.linalg.norm(vec))
-    while norm < 1e-12:  # astronomically rare; keeps the draw well-defined
-        vec = rng.normal(size=3)
-        norm = float(np.linalg.norm(vec))
-    return Direction(vec / norm)
+    vecs = rng.normal(size=(n, 3))
+    # one dot product per row is bit-identical to np.linalg.norm of the row,
+    # which norm(axis=1) and a sum of squares are not
+    norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero(norms < 1e-12):  # astronomically rare; keeps the draw well-defined
+        while norms[i] < 1e-12:
+            vecs[i] = rng.normal(size=3)
+            norms[i] = np.linalg.norm(vecs[i])
+    return vecs / norms[:, None]
+
+
+def random_bloch_vectors(seed, n: int, pure: bool | None = None) -> np.ndarray:
+    """(n, 3) Bloch vectors along uniform random directions: on the sphere if
+    pure, else at a radius uniform in [0, 1); ``pure=None`` flips a fair coin
+    per row.  Draw order: directions, coins (if ``pure`` is None), radii of
+    the mixed rows."""
+    rng = np.random.default_rng(seed)
+    directions = random_directions(rng, n)
+    mixed = rng.random(n) >= 0.5 if pure is None else np.full(n, not pure)
+    radii = np.ones(n)
+    radii[mixed] = rng.random(np.count_nonzero(mixed))
+    return radii[:, None] * directions
+
+
+def random_direction(seed=None) -> Direction:
+    """One ``random_directions`` row as a validated Direction."""
+    return Direction(random_directions(seed, 1)[0])
 
 
 def random_qubit_state(seed=None, pure: bool | None = None) -> QubitState:
-    """Qubit state along a uniform random direction: on the Bloch sphere if
-    pure, else at a radius uniform in [0, 1); ``pure=None`` flips a fair coin.
-    Draw order: direction, coin (if ``pure`` is None), radius (if mixed)."""
-    rng = np.random.default_rng(seed)
-    direction = random_direction(rng).vec
-    if pure is None:
-        pure = bool(rng.random() < 0.5)
-    radius = 1.0 if pure else float(rng.random())
-    return density_from_bloch(radius * direction)
+    """One ``random_bloch_vectors`` row as a validated QubitState."""
+    return density_from_bloch(random_bloch_vectors(seed, 1, pure)[0])
 
 
 def random_pure_state(seed=None) -> QubitState:

@@ -3,13 +3,16 @@
 Each check re-derives one of the library's contractual properties from
 scratch (independent oracles where one exists) and either passes or raises
 AssertionError (or a validating type's ValueError) with a diagnostic.
-Randomized checks draw from a single seeded generator, so a run is
-reproducible from its seed.  Acceptance criteria 4-8 call these checks with
-their own seeds and runtime budgets.
+Each randomized check draws from its own generator, seeded from the pair
+(seed, check name): a check's draws depend on those two only, so adding,
+removing or reordering checks changes no other check's result, and check
+names must be unique.  Acceptance criteria 4-8 call these checks with their
+own seeds and runtime budgets.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +37,9 @@ from .states import (
     ProbDist,
     born_probabilities,
     density_from_bloch,
+    random_bloch_vectors,
     random_direction,
-    random_pure_state,
+    random_directions,
     random_qubit_state,
     random_triad,
 )
@@ -101,8 +105,9 @@ def find_ordering_witness(step: float = 0.01, margin: float = 1e-6):
 
 
 def check_born_probability_bounds(rng) -> str:
-    for _ in range(1000):
-        probs = born_probabilities(random_qubit_state(rng), random_direction(rng)).probs
+    blochs, directions = random_bloch_vectors(rng, 1000), random_directions(rng, 1000)
+    for r, d in zip(blochs, directions):
+        probs = born_probabilities(density_from_bloch(r), d).probs
         assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
         assert abs(probs.sum() - 1.0) <= 1e-12
     return "1000 state/direction pairs"
@@ -110,8 +115,8 @@ def check_born_probability_bounds(rng) -> str:
 
 def check_bloch_roundtrip(rng) -> str:
     worst = 0.0
-    for _ in range(1000):
-        state = random_qubit_state(rng)
+    for r in random_bloch_vectors(rng, 1000):
+        state = density_from_bloch(r)
         back = density_from_bloch(state.bloch)
         worst = max(worst, float(np.max(np.abs(back.rho - state.rho))))
     assert worst <= 1e-12, f"round-trip error {worst:.3e}"
@@ -119,8 +124,8 @@ def check_bloch_roundtrip(rng) -> str:
 
 
 def check_pure_state_certainty(rng) -> str:
-    for _ in range(200):
-        state = random_pure_state(rng)
+    for r in random_bloch_vectors(rng, 200, pure=True):
+        state = density_from_bloch(r)
         probs = born_probabilities(state, Direction(state.bloch)).probs
         assert abs(probs[0] - 1.0) <= 1e-12 and abs(probs[1]) <= 1e-12
     return "200 pure states report certainty along their own axis"
@@ -227,8 +232,8 @@ def check_picture_agreement(rng) -> str:
 
 def check_total_information_radius(rng) -> str:
     worst = 0.0
-    for _ in range(1000):
-        state = random_qubit_state(rng)
+    for r in random_bloch_vectors(rng, 1000):
+        state = density_from_bloch(r)
         triad = random_triad(rng)
         total = total_information(info_vector(state, triad))
         radius_sq = float(np.dot(state.bloch, state.bloch))
@@ -239,14 +244,6 @@ def check_total_information_radius(rng) -> str:
 
 def check_efficiency_oracle_equivalence(rng) -> str:
     worst = eff.ratio_sweep(0.0, 1.0, 1001).validate()
-    return f"1001 grid points, worst gap {worst:.2e}"
-
-
-def check_efficiency_hy_identity(rng) -> str:
-    etas = np.linspace(0.0, 1.0, 1001)
-    _, _, _, hx, hyz = eff._closed_forms(etas)
-    worst = float(np.max(np.abs(hyz - (hx + etas))))
-    assert worst <= 1e-12, f"Hy = Hx + eta violated by {worst:.3e}"
     return f"1001 grid points, worst gap {worst:.2e}"
 
 
@@ -285,8 +282,7 @@ def check_ideal_mode_discontinuity(rng) -> str:
 def check_singlet_anticorrelation(rng) -> str:
     singlet = ent.bell_state("psi-")
     worst = 0.0
-    for _ in range(100):
-        d = random_direction(rng)
+    for d in random_directions(rng, 100):
         worst = max(worst, abs(ent.correlation(singlet, d, d) + 1.0))
     assert worst <= 1e-12, f"anticorrelation violated by {worst:.3e}"
     return f"100 random directions, worst gap {worst:.2e}"
@@ -331,20 +327,19 @@ def check_icorr_rotation_invariance(rng) -> str:
 
 
 def check_product_state_bound(rng) -> str:
-    worst = 0.0
-    for _ in range(1000):
-        state = ent.product_state(random_qubit_state(rng), random_qubit_state(rng))
-        corr = ent.correlation_matrix(state)
-        for _ in range(20):
-            d1 = random_direction(rng)
-            ortho = np.cross(d1.vec, random_direction(rng).vec)
-            norm = float(np.linalg.norm(ortho))
-            if norm < 1e-9:
-                continue
-            d2 = ortho / norm
-            e1 = float(d1.vec @ corr @ d1.vec)
-            e2 = float(d2 @ corr @ d2)
-            worst = max(worst, e1 * e1 + e2 * e2)
+    pairs = random_bloch_vectors(rng, 2000).reshape(1000, 2, 3)
+    corrs = np.stack([
+        ent.correlation_matrix(ent.product_state(density_from_bloch(a), density_from_bloch(b)))
+        for a, b in pairs
+    ])
+    d1, other = random_directions(rng, 40_000).reshape(2, 1000, 20, 3)
+    ortho = np.cross(d1, other)
+    norms = np.linalg.norm(ortho, axis=-1)
+    kept = norms >= 1e-9
+    d2 = ortho / np.where(kept, norms, 1.0)[..., None]
+    e1 = np.einsum("pki,pij,pkj->pk", d1, corrs, d1)
+    e2 = np.einsum("pki,pij,pkj->pk", d2, corrs, d2)
+    worst = float(np.max(e1 * e1 + e2 * e2, where=kept, initial=0.0))
     assert worst <= 1.0 + 1e-9, f"product state exceeded 1 bit: {worst!r}"
     return f"1000 products x 20 orthogonal pairs, max {worst:.6f}"
 
@@ -392,7 +387,6 @@ ALL_CHECKS = (
     ("picture-agreement", check_picture_agreement),
     ("total-information-radius", check_total_information_radius),
     ("efficiency-oracle-equivalence", check_efficiency_oracle_equivalence),
-    ("efficiency-hy-identity", check_efficiency_hy_identity),
     ("efficiency-ratio-sign", check_efficiency_ratio_sign),
     ("efficiency-monotonicity", check_efficiency_monotonicity),
     ("ideal-mode-discontinuity", check_ideal_mode_discontinuity),
@@ -406,10 +400,11 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[PropertyCheck]:
-    """Run every property check with a fresh generator per check."""
+    """Run every property check, each with a fresh generator keyed by
+    (seed, check name), so no check's draws depend on the others."""
     results = []
-    for index, (name, fn) in enumerate(ALL_CHECKS):
-        rng = np.random.default_rng(seed + index)
+    for name, fn in ALL_CHECKS:
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         try:
             detail = fn(rng)
             results.append(PropertyCheck(name=name, passed=True, detail=detail))

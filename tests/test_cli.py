@@ -434,3 +434,12 @@ class TestSeedResolution:
         monkeypatch.setenv("INFOLAB_SEED", "not-a-seed")
         code, _, err = run(capsys, "measure", "bz", "--probs", "1,0")
         assert code == 2 and "INFOLAB_SEED" in err
+
+    @pytest.mark.parametrize(
+        "env, flag, source", [("-3", (), "INFOLAB_SEED"), ("5", ("--seed", "-1"), "--seed")]
+    )
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys, env, flag, source):
+        monkeypatch.setenv("INFOLAB_SEED", env)
+        code, out, err = run(capsys, *flag, "verify")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and source in err

@@ -17,7 +17,9 @@ from infolab.states import (
     born_probabilities,
     density_from_bloch,
     named_state,
+    random_bloch_vectors,
     random_direction,
+    random_directions,
     random_pure_state,
     random_qubit_state,
     random_triad,
@@ -25,12 +27,6 @@ from infolab.states import (
 
 PLUS_X_RHO = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 PLUS_Y_RHO = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
-
-
-def bloch_in_ball(seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=3)
-    return rng.random() * vec / np.linalg.norm(vec)
 
 
 class TestProbDist:
@@ -107,8 +103,7 @@ class TestBlochConversions:
             density_from_bloch((0.8, 0.8, 0.8))
 
     def test_roundtrip_on_random_states(self):
-        for seed in range(1000):
-            r = bloch_in_ball(seed)
+        for r in random_bloch_vectors(0, 1000, pure=False):
             state = density_from_bloch(r)
             np.testing.assert_allclose(state.bloch, r, atol=1e-12)
             back = density_from_bloch(state.bloch)
@@ -136,7 +131,7 @@ class TestBornProbabilities:
     @given(seed=st.integers(0, 2**31), dir_seed=st.integers(0, 2**31))
     @settings(max_examples=200, deadline=None)
     def test_bounds_and_normalization(self, seed, dir_seed):
-        state = density_from_bloch(bloch_in_ball(seed))
+        state = random_qubit_state(seed, pure=False)
         probs = born_probabilities(state, random_direction(dir_seed)).probs
         assert np.all(probs >= -1e-12) and np.all(probs <= 1 + 1e-12)
         assert abs(probs.sum() - 1.0) <= 1e-12
@@ -189,6 +184,9 @@ class TestRandomSampling:
             pure = random_qubit_state(seed, pure=True).bloch
             assert abs(np.linalg.norm(pure) - 1.0) <= 1e-12
             assert np.linalg.norm(random_qubit_state(seed, pure=False).bloch) < 1.0
+        pure_radii = np.linalg.norm(random_bloch_vectors(0, 1000, pure=True), axis=1)
+        assert np.all(np.abs(pure_radii - 1.0) <= 1e-12)
+        assert np.all(np.linalg.norm(random_bloch_vectors(0, 1000, pure=False), axis=1) < 1.0)
 
     def test_passed_generator_continues_its_stream(self):
         rng = np.random.default_rng(3)
@@ -201,14 +199,18 @@ class TestRandomSampling:
         np.testing.assert_array_equal(state.rho, expected.rho)
         vec = replay.normal(size=3)
         np.testing.assert_array_equal(direction.vec, vec / np.linalg.norm(vec))
+        # a batch is the same draws, bit for bit, as successive scalar calls
+        batch_rng, scalar_rng, replay = (np.random.default_rng(5) for _ in range(3))
+        batch = random_directions(batch_rng, 1000)
+        scalar = np.array([random_direction(scalar_rng).vec for _ in range(1000)])
+        reference = np.array([v / np.linalg.norm(v) for v in replay.normal(size=(1000, 3))])
+        assert batch.tobytes() == scalar.tobytes() == reference.tobytes()
+        assert batch_rng.random() == scalar_rng.random() == replay.random()
 
     def test_sphere_uniformity(self):
         # mean Bloch vector of uniform sphere samples concentrates near zero
-        rng = np.random.default_rng(2024)
-        mean = np.zeros(3)
-        for _ in range(10_000):
-            mean += random_pure_state(rng).bloch
-        assert np.linalg.norm(mean / 10_000) < 0.05
+        mean = random_bloch_vectors(2024, 10_000, pure=True).mean(axis=0)
+        assert np.linalg.norm(mean) < 0.05
 
     def test_triads_are_valid_and_cover_orientations(self):
         z_components = [random_triad(seed).n1.vec[2] for seed in range(200)]

@@ -1,17 +1,33 @@
 """Tests for the invariant-suite runner and its CLI wiring."""
 
+import pytest
+
 import infolab.cli as cli
 import infolab.verify as verify
 from infolab.measures import bz_measure, shannon
 from infolab.verify import PropertyCheck, find_ordering_witness, run_all
 
 
-def test_full_suite_passes():
-    results = run_all(seed=42)
-    failed = [check.name for check in results if not check.passed]
+@pytest.fixture(scope="module")
+def seed_42_results():
+    return run_all(seed=42)
+
+
+def test_full_suite_passes(seed_42_results):
+    failed = [check.name for check in seed_42_results if not check.passed]
     assert not failed, f"failing properties: {failed}"
-    assert len(results) >= 20
-    assert all(check.detail for check in results)
+    assert len(seed_42_results) >= 20
+    assert all(check.detail for check in seed_42_results)
+
+
+def test_results_do_not_depend_on_the_other_checks(monkeypatch, seed_42_results):
+    names = [name for name, _ in verify.ALL_CHECKS]
+    assert len(set(names)) == len(names), "a check's name keys its seed"
+    dropped = "product-state-maximizer-bound"  # the slowest check
+    reordered = tuple(entry for entry in reversed(verify.ALL_CHECKS) if entry[0] != dropped)
+    monkeypatch.setattr(verify, "ALL_CHECKS", reordered)
+    expected = {c.name: (c.passed, c.detail) for c in seed_42_results if c.name != dropped}
+    assert {c.name: (c.passed, c.detail) for c in run_all(seed=42)} == expected
 
 
 def test_value_error_is_a_failed_property(monkeypatch):
