@@ -35,7 +35,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,19 +80,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse errors through our exit scheme
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: parsed flags, seed, display precision (>= 1)."""
-
-    args: argparse.Namespace
-    seed: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise UsageError(f"precision must be >= 1, got {self.precision}")
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -210,28 +196,27 @@ def _csv(header, columns) -> str:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_measure(config: RunConfig) -> int:
-    probs = _parse_floats(config.args.probs, None, "probabilities")
+def _cmd_measure(args: argparse.Namespace) -> int:
+    probs = _parse_floats(args.probs, None, "probabilities")
     try:
-        result = evaluate_measure(config.args.kind, probs)
+        result = evaluate_measure(args.kind, probs)
     except ValueError as err:
         raise UsageError(str(err))
-    print(_fmt(result.value, config.precision))
-    print(f"n={result.n} k={_fmt(result.k, config.precision)}", file=sys.stderr)
+    print(_fmt(result.value, args.precision))
+    print(f"n={result.n} k={_fmt(result.k, args.precision)}", file=sys.stderr)
     return 0
 
 
-def _cmd_info_vector(config: RunConfig) -> int:
-    state = _parse_state(config.args.state)
-    triad = _parse_triad(config.args.triad) if config.args.triad else CANONICAL_TRIAD
+def _cmd_info_vector(args: argparse.Namespace) -> int:
+    state = _parse_state(args.state)
+    triad = _parse_triad(args.triad) if args.triad else CANONICAL_TRIAD
     iv = info_vector(state, triad)
-    print(_fmt_vector((iv.i1, iv.i2, iv.i3), config.precision))
-    print(f"I_total={_fmt(total_information(iv), config.precision)}", file=sys.stderr)
+    print(_fmt_vector((iv.i1, iv.i2, iv.i3), args.precision))
+    print(f"I_total={_fmt(total_information(iv), args.precision)}", file=sys.stderr)
     return 0
 
 
-def _cmd_evolve(config: RunConfig) -> int:
-    args = config.args
+def _cmd_evolve(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
     try:
         h = Hamiltonian.from_pauli_coefficients(
@@ -244,7 +229,7 @@ def _cmd_evolve(config: RunConfig) -> int:
         raise UsageError(f"--t must be finite, got {args.t!r}")
 
     if not args.report_conservation:
-        print(_fmt_vector(evolve(state, h, args.t).bloch, config.precision))
+        print(_fmt_vector(evolve(state, h, args.t).bloch, args.precision))
         return 0
 
     if args.times is None:
@@ -252,14 +237,10 @@ def _cmd_evolve(config: RunConfig) -> int:
     times = _parse_times(args.times)
     vectors = info_trajectory(state, h, triad, times)
     report = ConservationReport.from_trajectory(times, vectors)
-    i1, i2, i3 = vectors.T
-    totals = report.i_total_values
-    if float(np.max(np.abs(i1 * i1 + i2 * i2 + i3 * i3 - totals))) > 1e-12:
-        raise ValueError("conservation CSV failed self-validation")
-    content = _csv(("t", "i1", "i2", "i3", "I_total"), (report.times, i1, i2, i3, totals))
-    _write_text(args.out, content)
+    columns = (report.times, *vectors.T, report.i_total_values)
+    _write_text(args.out, _csv(("t", "i1", "i2", "i3", "I_total"), columns))
     if args.out is not None:
-        print(_fmt_vector(evolve(state, h, args.t).bloch, config.precision))
+        print(_fmt_vector(evolve(state, h, args.t).bloch, args.precision))
     print(f"max_drift={report.max_drift:.3e}", file=sys.stderr)
     return 0
 
@@ -275,16 +256,15 @@ def _sweep_or_usage(eta_min: float, eta_max: float, steps: int) -> eff.SweepTabl
     return table
 
 
-def _cmd_efficiency_sweep(config: RunConfig) -> int:
-    args = config.args
+def _cmd_efficiency_sweep(args: argparse.Namespace) -> int:
     table = _sweep_or_usage(args.min, args.max, args.steps)
     _write_text(args.out, _csv(eff.SweepTable.HEADER, table.columns()))
     return 0
 
 
-def _cmd_efficiency_thresholds(config: RunConfig) -> int:
+def _cmd_efficiency_thresholds(args: argparse.Namespace) -> int:
     lo, hi = eff.thresholds()
-    print(f"{_fmt(lo, config.precision)} {_fmt(hi, config.precision)}")
+    print(f"{_fmt(lo, args.precision)} {_fmt(hi, args.precision)}")
     return 0
 
 
@@ -339,41 +319,40 @@ def reproduce_figures(out_dir: str | Path) -> list[Path]:
     return [fig1_csv, fig1_svg, fig2_csv, fig2_svg]
 
 
-def _cmd_efficiency_figures(config: RunConfig) -> int:
-    for path in reproduce_figures(config.args.out_dir):
+def _cmd_efficiency_figures(args: argparse.Namespace) -> int:
+    for path in reproduce_figures(args.out_dir):
         print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
-def _cmd_entangle_icorr(config: RunConfig) -> int:
-    args = config.args
+def _cmd_entangle_icorr(args: argparse.Namespace) -> int:
     state = _parse_two_qubit_state(args.state)
     result = i_corr(state, _parse_direction(args.d1, "d1"), _parse_direction(args.d2, "d2"))
-    print(_fmt(result.total_bits, config.precision))
+    print(_fmt(result.total_bits, args.precision))
     print(
-        f"E1={_fmt(result.correlations[0], config.precision)} "
-        f"E2={_fmt(result.correlations[1], config.precision)} "
-        f"I1={_fmt(result.info_bits[0], config.precision)} "
-        f"I2={_fmt(result.info_bits[1], config.precision)}",
+        f"E1={_fmt(result.correlations[0], args.precision)} "
+        f"E2={_fmt(result.correlations[1], args.precision)} "
+        f"I1={_fmt(result.info_bits[0], args.precision)} "
+        f"I2={_fmt(result.info_bits[1], args.precision)}",
         file=sys.stderr,
     )
     return 0
 
 
-def _cmd_entangle_check(config: RunConfig) -> int:
-    state = _parse_two_qubit_state(config.args.state)
+def _cmd_entangle_check(args: argparse.Namespace) -> int:
+    state = _parse_two_qubit_state(args.state)
     entangled, result = info_condition_entangled(state)
-    print(f"{str(entangled).lower()} {_fmt(result.total_bits, config.precision)}")
+    print(f"{str(entangled).lower()} {_fmt(result.total_bits, args.precision)}")
     print(
-        f"d1={_fmt_vector(result.d1.vec, config.precision)} "
-        f"d2={_fmt_vector(result.d2.vec, config.precision)}",
+        f"d1={_fmt_vector(result.d1.vec, args.precision)} "
+        f"d2={_fmt_vector(result.d2.vec, args.precision)}",
         file=sys.stderr,
     )
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    results = run_all(config.seed)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = run_all(args.seed)
     failures = 0
     for check in results:
         if check.passed:
@@ -381,7 +360,7 @@ def _cmd_verify(config: RunConfig) -> int:
         else:
             failures += 1
             print(f"FAIL {check.name}: {check.detail}")
-    print(f"{len(results) - failures}/{len(results)} properties passed (seed {config.seed})")
+    print(f"{len(results) - failures}/{len(results)} properties passed (seed {args.seed})")
     return 0 if failures == 0 else 1
 
 
@@ -492,12 +471,10 @@ def parse_and_dispatch(argv) -> int:
     """Parse argv and run the selected subcommand, mapping errors to exit codes."""
     try:
         args = build_parser().parse_args(_merge_value_flags(argv))
-        config = RunConfig(
-            args=args,
-            seed=_resolve_seed(args.seed),
-            precision=args.precision,
-        )
-        return args.handler(config)
+        args.seed = _resolve_seed(args.seed)
+        if args.precision < 1:
+            raise UsageError(f"precision must be >= 1, got {args.precision}")
+        return args.handler(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

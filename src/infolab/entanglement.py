@@ -49,7 +49,9 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-        _check_density(rho, ATOL)
+        _check_density(rho)
+        if float(np.min(np.linalg.eigvalsh(rho))) < -ATOL:
+            raise ValueError("density matrix has a negative eigenvalue")
         arr = rho.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "rho", arr)

@@ -28,7 +28,9 @@ only by floating-point error.  It has two independent routes:
 
 The tests hold the second route to the first.  A fixed-step Euler commutator
 integrator is included purely to demonstrate drift versus step size; it is
-not used by anything else.
+not used by anything else.  Both routes share one unit-ball bound on the
+Bloch radius, |r| <= 1 + 1e-12 (``states._check_bloch``), and one check of
+the InfoVector bounds (``_check_info_rows``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .states import (
     PAULIS,
     MeasurementTriad,
     QubitState,
+    _check_bloch,
     as_direction,
     as_qubit_state,
     born_probabilities,
@@ -60,11 +63,7 @@ class InfoVector:
     i3: float
 
     def __post_init__(self):
-        comps = (self.i1, self.i2, self.i3)
-        if not all(abs(c) <= 1.0 + INFO_ATOL for c in comps):
-            raise ValueError(f"info vector components outside [-1, 1]: {comps}")
-        if not sum(c * c for c in comps) <= 1.0 + INFO_ATOL:
-            raise ValueError(f"info vector longer than 1: {comps}")
+        _check_info_rows(np.array((self.i1, self.i2, self.i3)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.i1, self.i2, self.i3])
@@ -90,6 +89,10 @@ class Hamiltonian:
         arr = mat.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
+        with np.errstate(over="ignore"):  # finite entries can still overflow a0 or |a|^2
+            a0, a = self.pauli_decomposition()
+            if not (np.isfinite(a0) and np.isfinite(a @ a)):
+                raise ValueError("Hamiltonian's Pauli coefficients overflow: |a| is not finite")
 
     @classmethod
     def from_pauli_coefficients(cls, coeffs) -> "Hamiltonian":
@@ -108,11 +111,10 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class ConservationReport:
-    """Total information sampled along a trajectory, with its max drift."""
+    """Total information sampled along a trajectory."""
 
     times: np.ndarray
     i_total_values: np.ndarray
-    max_drift: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -121,24 +123,33 @@ class ConservationReport:
             raise ValueError("times and values must have matching lengths")
         if values.size == 0:
             raise ValueError("need at least one time point")
-        drift = float(np.max(np.abs(values - values[0])))
-        if abs(self.max_drift - drift) > 1e-15:
-            raise ValueError(f"max_drift {self.max_drift!r} does not match values ({drift!r})")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "i_total_values", values)
+
+    @property
+    def max_drift(self) -> float:
+        """Largest deviation of the total from its value at the first time."""
+        return float(np.max(np.abs(self.i_total_values - self.i_total_values[0])))
 
     @classmethod
     def from_trajectory(cls, times, vectors) -> "ConservationReport":
         """Report for the rows of ``info_trajectory(state, h, triad, times)``."""
-        values = _totals(vectors)
-        drift = float(np.max(np.abs(values - values[0])))
-        return cls(times=times, i_total_values=values, max_drift=drift)
+        return cls(times=times, i_total_values=_totals(vectors))
 
 
 def _totals(vectors: np.ndarray) -> np.ndarray:
     """Row-wise i1^2 + i2^2 + i3^2, summed in the order total_information uses."""
     i1, i2, i3 = vectors.T
     return i1 * i1 + i2 * i2 + i3 * i3
+
+
+def _check_info_rows(vectors: np.ndarray) -> None:
+    """InfoVector bounds on each row of a (..., 3) array: components in
+    [-1, 1] and total at most 1, within INFO_ATOL; NaN fails them."""
+    if not np.abs(vectors).max() <= 1.0 + INFO_ATOL:
+        raise ValueError("info vector components outside [-1, 1]")
+    if not _totals(vectors).max() <= 1.0 + INFO_ATOL:
+        raise ValueError("info vector longer than 1")
 
 
 def info_vector(state, triad: MeasurementTriad) -> InfoVector:
@@ -195,8 +206,11 @@ def propagator(h: Hamiltonian, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     a0, a = h.pauli_decomposition()
-    t = t / h.hbar
     norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        t = t / h.hbar
+        if not np.isfinite(norm * t):
+            raise ValueError("evolution angle 2|a|t/hbar is not finite")
     phase = np.exp(-1j * a0 * t)
     if norm == 0.0:
         return phase * IDENTITY2
@@ -241,8 +255,8 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     for each t, without building a state per time point.
 
     The whole array is validated once: times must be finite, non-empty and
-    sorted ascending; every evolved Bloch vector must lie in the unit ball
-    (the positivity that QubitState enforces); every row must satisfy the
+    sorted ascending; the rotation angle must be finite; every evolved Bloch
+    vector must pass QubitState's unit-ball check; every row must satisfy the
     InfoVector bounds.  The comparisons are written so that NaN fails them.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -261,19 +275,18 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
         k = a / norm
         along = np.dot(k, r0) * k
         # twice the propagator's half-angle |a| t / hbar, rounded the same way
-        theta = 2.0 * (norm * (times / h.hbar))
+        with np.errstate(over="ignore"):
+            theta = 2.0 * (norm * (times / h.hbar))
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("evolution angle 2|a|t/hbar is not finite")
         bloch = (
             along
             + np.cos(theta)[:, None] * (r0 - along)
             + np.sin(theta)[:, None] * np.cross(k, r0)
         )
-    if not np.all(np.linalg.norm(bloch, axis=1) <= 1.0 + 2.0 * ATOL):
-        raise ValueError("evolved Bloch vector left the unit ball")
+    _check_bloch(bloch)
     vectors = bloch @ triad.matrix.T
-    if not np.all(np.abs(vectors) <= 1.0 + INFO_ATOL):
-        raise ValueError("info vector components outside [-1, 1]")
-    if not np.all(_totals(vectors) <= 1.0 + INFO_ATOL):
-        raise ValueError("info vector longer than 1")
+    _check_info_rows(vectors)
     return vectors
 
 

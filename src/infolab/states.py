@@ -7,16 +7,18 @@ to share across threads.
 
 Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
-Every value type rejects non-finite input.  The seeded samplers at the end
-are the ones the ``verify`` checks and the test suite draw from: the batch
-samplers ``random_directions`` and ``random_bloch_vectors`` return (n, 3)
-arrays, and ``random_direction``, ``random_qubit_state`` and
-``random_pure_state`` wrap them to return one validated value.
+Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
+(``_check_bloch``); two-qubit positivity uses eigenvalues.  Every value type
+rejects non-finite input.  The seeded samplers at the end are the ones the
+``verify`` checks and the test suite draw from: the batch samplers
+``random_directions`` and ``random_bloch_vectors`` return (n, 3) arrays, and
+``random_direction``, ``random_qubit_state`` and ``random_pure_state`` wrap
+them to return one validated value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,41 +73,50 @@ def as_probdist(p) -> ProbDist:
 
 @dataclass(frozen=True, eq=False)
 class QubitState:
-    """Single-qubit density matrix (2x2, Hermitian, unit trace, positive)."""
+    """Single-qubit density matrix (2x2, Hermitian, unit trace, positive) and
+    its Bloch vector r_k = Re tr(rho sigma_k), computed once."""
 
     rho: np.ndarray
+    bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-        _check_density(rho, ATOL)
+        _check_density(rho)
+        bloch = np.real(np.einsum("kij,ji->k", PAULIS, rho))
+        _check_bloch(bloch)
         object.__setattr__(self, "rho", _frozen(rho, complex))
-
-    @property
-    def bloch(self) -> np.ndarray:
-        """Bloch vector r with r_k = Re tr(rho sigma_k)."""
-        return np.real(np.einsum("kij,ji->k", PAULIS, self.rho))
+        object.__setattr__(self, "bloch", _frozen(bloch, float))
 
     @property
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
-    def is_pure(self, atol: float = ATOL) -> bool:
-        return abs(self.purity - 1.0) <= atol
+    def is_pure(self) -> bool:
+        return abs(self.purity - 1.0) <= ATOL
 
 
-def _check_density(rho: np.ndarray, atol: float) -> None:
-    """Finite, Hermitian, unit trace and positive within atol (any size)."""
+def _check_density(rho: np.ndarray) -> None:
+    """Finite, Hermitian and unit trace within ATOL (any size), not positivity."""
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > ATOL:
         raise ValueError("density matrix is not Hermitian")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > atol:
+    if abs(trace - 1.0) > ATOL:
         raise ValueError(f"density matrix trace is {trace}, expected 1")
-    if float(np.min(np.linalg.eigvalsh(rho))) < -atol:
-        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def _check_bloch(r: np.ndarray) -> None:
+    """Each row of a (..., 3) array finite with |r| <= 1 + ATOL: qubit positivity
+    in closed form, as (I + r . sigma) / 2 has eigenvalues (1 +- |r|) / 2."""
+    with np.errstate(over="ignore"):  # an overflowed |r|^2 is inf and fails the bound
+        norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
+    if not norm <= 1.0 + ATOL:  # so does NaN
+        if not np.all(np.isfinite(r)):
+            raise ValueError("Bloch vector has non-finite components")
+        raise ValueError(f"Bloch vector norm {norm!r} outside the unit ball: negative eigenvalue")
 
 
 def as_qubit_state(state) -> QubitState:
@@ -206,11 +217,7 @@ def density_from_bloch(r) -> QubitState:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError(f"Bloch vector has non-finite components: {r.tolist()}")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + ATOL:
-        raise ValueError(f"Bloch vector norm {norm!r} is outside the unit ball")
+    _check_bloch(r)
     rho = 0.5 * (IDENTITY2 + np.einsum("k,kij->ij", r, PAULIS))
     return QubitState(rho)
 

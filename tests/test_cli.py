@@ -72,6 +72,13 @@ class TestComputationErrors:
         )
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_angle_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "evolve", "--state", "0,0,1", "--hamiltonian", "1e150,0,0", "--t", "1e160"
+        )
+        assert (code, out, err) == (1, "", "error: evolution angle 2|a|t/hbar is not finite\n")
+
     def test_unwritable_output_exit_one(self, capsys):
         code, _, err = run(
             capsys,
@@ -197,8 +204,13 @@ class TestMalformedEvolve:
             (*EVOLVE, "--t", "1", "--triad", "nan,0,0:0,1,0:0,0,1"),
             ("entangle", "icorr", "--state", "bell:psi-", "--d1", "nan,0,0", "--d2", "0,1,0"),
             ("entangle", "icorr", "--state", "bell:psi-", "--d1", "inf,0,0", "--d2", "0,1,0"),
+            (
+                "evolve", "--state", "0,0,1", "--hamiltonian", "1e200,0,0",
+                "--t", "1", "--report-conservation", "--times", "0:1:0.5",
+            ),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_usage_error_with_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

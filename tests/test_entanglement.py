@@ -25,6 +25,7 @@ from infolab.states import (
     random_direction,
     random_qubit_state,
 )
+from infolab.verify import check_icorr_rotation_invariance
 
 SINGLET_RHO = 0.5 * np.array(
     [
@@ -148,32 +149,7 @@ class TestICorr:
         assert result.total_bits == pytest.approx(2.0, abs=1e-9)
 
     def test_rotation_invariance(self):
-        rng = np.random.default_rng(19)
-        for _ in range(30):
-            mix = rng.dirichlet(np.ones(2))
-            rho = mix[0] * mixed_product(rng).rho + mix[1] * bell_state("psi-").rho
-            state = TwoQubitState(rho)
-            d1 = random_direction(rng)
-            ortho = np.cross(d1.vec, random_direction(rng).vec)
-            if np.linalg.norm(ortho) < 1e-6:
-                continue
-            d2 = Direction(ortho / np.linalg.norm(ortho))
-            angle = rng.uniform(0, 2 * np.pi)
-            axis = random_direction(rng)
-
-            from infolab.infospace import rotation_matrix
-
-            sigma = np.einsum("k,kij->ij", axis.vec, PAULIS)
-            u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sigma
-            uu = np.kron(u, u)
-            rotated_rho = uu @ state.rho @ uu.conj().T
-            rotated = TwoQubitState(0.5 * (rotated_rho + rotated_rho.conj().T))
-            rot = rotation_matrix(axis, angle)
-            before = i_corr(state, d1, d2).total_bits
-            after = i_corr(
-                rotated, Direction(rot @ d1.vec), Direction(rot @ d2.vec)
-            ).total_bits
-            assert abs(after - before) <= 1e-10
+        check_icorr_rotation_invariance(np.random.default_rng(19))
 
     def test_product_states_bounded_by_one_bit(self):
         rng = np.random.default_rng(23)

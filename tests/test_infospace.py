@@ -1,5 +1,6 @@
 """Tests for information vectors, triad rotations, and unitary evolution."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,6 +225,23 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="hbar"):
             Hamiltonian(np.eye(2), hbar=hbar)
 
+    def test_finite_overflow_is_an_error_not_a_warning(self):
+        state = named_state("plus-z")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                Hamiltonian.from_pauli_coefficients((1e200, 0.0, 0.0))
+            with pytest.raises(ValueError, match="overflow"):
+                Hamiltonian(1e308 * np.eye(2))  # the trace part overflows
+            for h, t in [
+                (Hamiltonian.from_pauli_coefficients((1e150, 0.0, 0.0)), 1e160),
+                (Hamiltonian(np.diag([1.0, -1.0]), hbar=1e-300), 1e10),
+            ]:
+                with pytest.raises(ValueError, match="angle"):
+                    evolve(state, h, t)
+                with pytest.raises(ValueError, match="angle"):
+                    info_trajectory(state, h, CANONICAL_TRIAD, [0.0, t])
+
 
 def _born_route(state, h, triad, times):
     """Independent oracle: propagator on rho, then Born probabilities per time."""
@@ -345,8 +363,8 @@ class TestConservation:
 
     def test_report_validates_lengths(self):
         with pytest.raises(ValueError, match="lengths"):
-            ConservationReport(times=[0.0, 1.0], i_total_values=[1.0], max_drift=0.0)
+            ConservationReport(times=[0.0, 1.0], i_total_values=[1.0])
 
-    def test_report_validates_drift_consistency(self):
-        with pytest.raises(ValueError, match="max_drift"):
-            ConservationReport(times=[0.0, 1.0], i_total_values=[1.0, 0.8], max_drift=0.0)
+    def test_report_derives_drift_from_values(self):
+        report = ConservationReport(times=[0.0, 1.0, 2.0], i_total_values=[1.0, 0.8, 1.1])
+        assert report.max_drift == pytest.approx(0.2, abs=1e-15)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infolab.infospace import Hamiltonian, info_trajectory
 from infolab.states import (
+    ATOL,
     CANONICAL_TRIAD,
+    PAULIS,
     Direction,
     MeasurementTriad,
     ProbDist,
@@ -73,6 +76,46 @@ class TestQubitState:
         assert named_state("plus-z").is_pure()
         assert not named_state("mixed").is_pure()
         assert named_state("mixed").purity == pytest.approx(0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+        excess=st.floats(-3e-12, 3e-12),
+    )
+    def test_unit_ball_rule_implies_eigenvalue_rule(self, direction, excess):
+        # Hermitian unit-trace matrices on both sides of the positivity boundary
+        r = (1.0 + excess) * np.array(direction) / np.linalg.norm(direction)
+        smallest = float(np.min(np.linalg.eigvalsh(_rho(r))))  # the eigenvalue rule, as reference
+        try:
+            QubitState(_rho(r))
+        except ValueError:
+            assert smallest < 0.0  # no positive matrix is rejected
+        else:
+            assert smallest >= -ATOL
+
+
+def _rho(r) -> np.ndarray:
+    """(I + r . sigma) / 2, built without density_from_bloch's own check."""
+    return 0.5 * (np.eye(2) + np.einsum("k,kij->ij", r, PAULIS))
+
+
+PRECESSION = Hamiltonian.from_pauli_coefficients((0.3, -0.2, 0.5))
+BLOCH_ROUTES = {
+    "density_from_bloch": density_from_bloch,
+    "QubitState": lambda r: QubitState(_rho(r)),
+    "info_trajectory": lambda r: info_trajectory(_rho(r), PRECESSION, CANONICAL_TRIAD, [0.0, 1.0]),
+}
+
+
+class TestUnitBallBound:
+    """One bound, |r| <= 1 + ATOL, wherever a Bloch vector enters."""
+
+    @pytest.mark.parametrize("route", sorted(BLOCH_ROUTES))
+    def test_accepts_inside_and_rejects_outside(self, route):
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        BLOCH_ROUTES[route]((1.0 + 0.5e-12) * axis)
+        with pytest.raises(ValueError, match="unit ball"):
+            BLOCH_ROUTES[route]((1.0 + 1.5e-12) * axis)
 
 
 class TestBlochConversions:

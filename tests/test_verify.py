@@ -1,16 +1,9 @@
 """Tests for the invariant-suite runner and its CLI wiring."""
 
-import pytest
-
 import infolab.cli as cli
 import infolab.verify as verify
 from infolab.measures import bz_measure, shannon
 from infolab.verify import PropertyCheck, find_ordering_witness, run_all
-
-
-@pytest.fixture(scope="module")
-def seed_42_results():
-    return run_all(seed=42)
 
 
 def test_full_suite_passes(seed_42_results):
