@@ -180,8 +180,8 @@ def _write_text(path: str | None, content: str) -> None:
 def _csv(header, columns) -> str:
     """Header line plus one line per row, every cell as ``%.12g``.
 
-    One row template is applied to each row of the stacked columns; ``%.12g``
-    and ``f"{v:.12g}"`` run the same float-to-string conversion.
+    One ``%`` formats a block of rows with the row template repeated per row;
+    ``%.12g`` and ``f"{v:.12g}"`` run the same float-to-string conversion.
     """
     row_format = ",".join(["%.12g"] * len(columns))
     lines = [",".join(header)]
@@ -189,7 +189,7 @@ def _csv(header, columns) -> str:
     # would hold a Python float per cell, more memory than the CSV text itself
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-        lines.extend(row_format % tuple(row) for row in block.tolist())
+        lines.append("\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -28,6 +28,7 @@ from .states import (
     Direction,
     QubitState,
     _check_density,
+    _frozen,
     as_direction,
     as_qubit_state,
 )
@@ -46,15 +47,13 @@ class TwoQubitState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-        _check_density(rho)
+        _check_density(rho.tolist())
         if float(np.min(np.linalg.eigvalsh(rho))) < -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
-        arr = rho.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "rho", arr)
+        object.__setattr__(self, "rho", _frozen(rho))
 
     @property
     def purity(self) -> float:

@@ -30,22 +30,28 @@ The tests hold the second route to the first.  A fixed-step Euler commutator
 integrator is included purely to demonstrate drift versus step size; it is
 not used by anything else.  Both routes share one unit-ball bound on the
 Bloch radius, |r| <= 1 + 1e-12 (``states._check_bloch``), and one check of
-the InfoVector bounds (``_check_info_rows``).
+the InfoVector bounds (``_check_info_rows``).  ``Hamiltonian`` checks Python
+scalars and stores its Pauli coefficients (a0, a), in closed form, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .states import (
-    ATOL,
     IDENTITY2,
     PAULIS,
     MeasurementTriad,
     QubitState,
     _check_bloch,
+    _check_hermitian,
+    _cross,
+    _dot,
+    _frozen,
+    _pauli_vector,
     as_direction,
     as_qubit_state,
     born_probabilities,
@@ -75,24 +81,24 @@ class Hamiltonian:
 
     matrix: np.ndarray
     hbar: float = 1.0
+    _pauli: tuple[float, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"Hamiltonian must be 2x2, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("Hamiltonian has non-finite entries")
-        if not (np.isfinite(self.hbar) and self.hbar > 0.0):
+        rows = mat.tolist()
+        _check_hermitian(rows, "Hamiltonian")
+        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("Hamiltonian is not Hermitian")
-        arr = mat.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-        with np.errstate(over="ignore"):  # finite entries can still overflow a0 or |a|^2
-            a0, a = self.pauli_decomposition()
-            if not (np.isfinite(a0) and np.isfinite(a @ a)):
-                raise ValueError("Hamiltonian's Pauli coefficients overflow: |a| is not finite")
+        object.__setattr__(self, "hbar", float(self.hbar))  # so t / hbar never warns
+        # Python floats: finite entries can overflow a0 or |a|^2 to inf, without a warning
+        a0 = (0.0 + (rows[0][0] + rows[1][1]).real) / 2.0
+        a = [c / 2.0 for c in _pauli_vector(rows)]
+        if not (math.isfinite(a0) and math.isfinite(_dot(a, a))):
+            raise ValueError("Hamiltonian's Pauli coefficients overflow: |a| is not finite")
+        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "_pauli", (a0, _frozen(np.array(a))))
 
     @classmethod
     def from_pauli_coefficients(cls, coeffs) -> "Hamiltonian":
@@ -103,10 +109,8 @@ class Hamiltonian:
         return cls(np.einsum("k,kij->ij", h, PAULIS))
 
     def pauli_decomposition(self) -> tuple[float, np.ndarray]:
-        """Return (a0, a) with matrix = a0 I + a . sigma."""
-        a0 = float(np.real(np.trace(self.matrix))) / 2.0
-        a = np.real(np.einsum("kij,ji->k", PAULIS, self.matrix)) / 2.0
-        return a0, a
+        """Return (a0, a) with matrix = a0 I + a . sigma; a is read-only."""
+        return self._pauli
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,27 +207,32 @@ def propagator(h: Hamiltonian, t: float) -> np.ndarray:
     With H = a0 I + a . sigma this is
     e^{-i a0 t} (cos(|a| t) I - i sin(|a| t) (a/|a|) . sigma).
     """
-    if not np.isfinite(t):
+    u = _su2_part(h, t)
+    a0t = h.pauli_decomposition()[0] * (float(t) / h.hbar)
+    if not math.isfinite(a0t):
+        raise ValueError("global phase angle a0*t/hbar is not finite")
+    return np.exp(-1j * a0t) * u
+
+
+def _su2_part(h: Hamiltonian, t: float) -> np.ndarray:
+    """The propagator without its global phase: exp(-i (a . sigma) t / hbar)."""
+    if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    a0, a = h.pauli_decomposition()
-    norm = float(np.linalg.norm(a))
-    with np.errstate(over="ignore"):
-        t = t / h.hbar
-        if not np.isfinite(norm * t):
-            raise ValueError("evolution angle 2|a|t/hbar is not finite")
-    phase = np.exp(-1j * a0 * t)
+    a = h.pauli_decomposition()[1]
+    norm = math.sqrt(a.dot(a))  # as np.linalg.norm
+    t = float(t) / h.hbar
+    if not math.isfinite(norm * t):
+        raise ValueError("evolution angle 2|a|t/hbar is not finite")
     if norm == 0.0:
-        return phase * IDENTITY2
+        return IDENTITY2.copy()
     axis_sigma = np.einsum("k,kij->ij", a / norm, PAULIS)
-    return phase * (
-        np.cos(norm * t) * IDENTITY2 - 1j * np.sin(norm * t) * axis_sigma
-    )
+    return np.cos(norm * t) * IDENTITY2 - 1j * np.sin(norm * t) * axis_sigma
 
 
 def evolve(state, h: Hamiltonian, t: float) -> QubitState:
-    """Evolve a state for time t: rho -> U rho U+ with the exact propagator."""
+    """Evolve a state for time t: rho -> U rho U+, U the propagator less its (cancelling) phase."""
     rho = as_qubit_state(state).rho
-    u = propagator(h, t)
+    u = _su2_part(h, t)
     out = u @ rho @ u.conj().T
     return QubitState(0.5 * (out + out.conj().T))  # scrub last-ulp asymmetry
 
@@ -262,27 +271,27 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("need at least one time point")
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    if not np.all(np.diff(times) >= 0.0):
+    if not (times[1:] >= times[:-1]).all():
         raise ValueError("times must be sorted ascending")
     r0 = as_qubit_state(state).bloch
-    _, a = h.pauli_decomposition()
-    norm = float(np.linalg.norm(a))
+    a = h.pauli_decomposition()[1]
+    norm = math.sqrt(a.dot(a))  # as np.linalg.norm
     if norm == 0.0:
         bloch = np.broadcast_to(r0, (times.size, 3))
     else:
         k = a / norm
         along = np.dot(k, r0) * k
-        # twice the propagator's half-angle |a| t / hbar, rounded the same way
-        with np.errstate(over="ignore"):
-            theta = 2.0 * (norm * (times / h.hbar))
-        if not np.all(np.isfinite(theta)):
+        # sorted times put the largest |angle| at an end: if it is finite, none overflows
+        if not math.isfinite(2.0 * (norm * (max(-float(times[0]), float(times[-1])) / h.hbar))):
             raise ValueError("evolution angle 2|a|t/hbar is not finite")
+        # twice the propagator's half-angle |a| t / hbar, rounded the same way
+        theta = 2.0 * (norm * (times / h.hbar))
         bloch = (
             along
             + np.cos(theta)[:, None] * (r0 - along)
-            + np.sin(theta)[:, None] * np.cross(k, r0)
+            + np.sin(theta)[:, None] * np.array(_cross(k.tolist(), r0.tolist()))
         )
     _check_bloch(bloch)
     vectors = bloch @ triad.matrix.T

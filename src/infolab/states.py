@@ -9,7 +9,10 @@ Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
 Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 (``_check_bloch``); two-qubit positivity uses eigenvalues.  Every value type
-rejects non-finite input.  The seeded samplers at the end are the ones the
+rejects non-finite input.  Checks run on the Python scalars of one
+``.tolist()``; ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored
+once, in closed forms bit-identical to the einsum and determinant they
+replace.  The seeded samplers at the end are the ones the
 ``verify`` checks and the test suite draw from: the batch samplers
 ``random_directions`` and ``random_bloch_vectors`` return (n, 3) arrays, and
 ``random_direction``, ``random_qubit_state`` and ``random_pure_state`` wrap
@@ -18,6 +21,8 @@ them to return one validated value.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +37,7 @@ PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
@@ -48,15 +52,15 @@ class ProbDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        probs = np.array(self.probs, dtype=float).reshape(-1)
         if probs.size < 2:
             raise ValueError(f"need at least 2 outcomes, got {probs.size}")
-        if np.any(probs < -ATOL) or np.any(probs > 1.0 + ATOL):
+        if any(p < -ATOL or p > 1.0 + ATOL for p in probs.tolist()):
             raise ValueError(f"probabilities outside [0, 1]: {probs.tolist()}")
         total = float(probs.sum())
         if not abs(total - 1.0) <= ATOL:  # also rejects NaN entries
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", _frozen(probs, float))
+        object.__setattr__(self, "probs", _frozen(probs))
 
     @property
     def n(self) -> int:
@@ -80,14 +84,15 @@ class QubitState:
     bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = np.array(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-        _check_density(rho)
-        bloch = np.real(np.einsum("kij,ji->k", PAULIS, rho))
+        rows = rho.tolist()
+        _check_density(rows)
+        bloch = np.array(_pauli_vector(rows))
         _check_bloch(bloch)
-        object.__setattr__(self, "rho", _frozen(rho, complex))
-        object.__setattr__(self, "bloch", _frozen(bloch, float))
+        object.__setattr__(self, "rho", _frozen(rho))
+        object.__setattr__(self, "bloch", _frozen(bloch))
 
     @property
     def purity(self) -> float:
@@ -97,25 +102,50 @@ class QubitState:
         return abs(self.purity - 1.0) <= ATOL
 
 
-def _check_density(rho: np.ndarray) -> None:
+def _check_density(rows: list) -> None:
     """Finite, Hermitian and unit trace within ATOL (any size), not positivity."""
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > ATOL:
-        raise ValueError("density matrix is not Hermitian")
-    trace = complex(np.trace(rho))
+    _check_hermitian(rows, "density matrix")
+    trace = sum(row[i] for i, row in enumerate(rows))
     if abs(trace - 1.0) > ATOL:
         raise ValueError(f"density matrix trace is {trace}, expected 1")
+
+
+def _check_hermitian(m: list, what: str) -> None:
+    """Finite and Hermitian within ATOL, for a square matrix as nested lists."""
+    if not all(cmath.isfinite(z) for row in m for z in row):
+        raise ValueError(f"{what} has non-finite entries")
+    gaps = (m[i][j] - m[j][i].conjugate() for i in range(len(m)) for j in range(i, len(m)))
+    if max(math.hypot(g.real, g.imag) for g in gaps) > ATOL:  # overflow gives inf, not an error
+        raise ValueError(f"{what} is not Hermitian")
+
+
+def _pauli_vector(rows: list) -> tuple[float, float, float]:
+    """Re tr(m sigma_k) for m = [[a, b], [c, d]], the einsum over PAULIS less its
+    zero products; 0.0 + x turns -0.0 into 0.0, as einsum's zeroed sum does."""
+    (a, b), (c, d) = rows
+    return (0.0 + (b + c).real, 0.0 + (c - b).imag, 0.0 + (a - d).real)
+
+
+def _cross(p, q) -> tuple[float, float, float]:
+    """p x q for 3-sequences of Python floats, term for term as numpy computes it."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
 def _check_bloch(r: np.ndarray) -> None:
     """Each row of a (..., 3) array finite with |r| <= 1 + ATOL: qubit positivity
     in closed form, as (I + r . sigma) / 2 has eigenvalues (1 +- |r|) / 2."""
-    with np.errstate(over="ignore"):  # an overflowed |r|^2 is inf and fails the bound
+    if np.abs(r).max() <= 1.0 + ATOL:  # false on NaN; if true, no square overflows
         norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
-    if not norm <= 1.0 + ATOL:  # so does NaN
-        if not np.all(np.isfinite(r)):
-            raise ValueError("Bloch vector has non-finite components")
+    elif not np.all(np.isfinite(r)):
+        raise ValueError("Bloch vector has non-finite components")
+    else:
+        with np.errstate(over="ignore"):  # an overflowed |r|^2 is inf and fails the bound
+            norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
+    if not norm <= 1.0 + ATOL:
         raise ValueError(f"Bloch vector norm {norm!r} outside the unit ball: negative eigenvalue")
 
 
@@ -130,13 +160,13 @@ class Direction:
     vec: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=float).reshape(-1)
+        vec = np.array(self.vec, dtype=float).reshape(-1)
         if vec.shape != (3,):
             raise ValueError(f"direction must have 3 components, got {vec.shape}")
-        norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(vec.dot(vec))  # the value np.linalg.norm computes
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"direction norm is {norm!r}, expected 1")
-        object.__setattr__(self, "vec", _frozen(vec, float))
+        object.__setattr__(self, "vec", _frozen(vec))
 
     @classmethod
     def normalized(cls, values) -> "Direction":
@@ -165,28 +195,26 @@ Z_DIR = Direction((0.0, 0.0, 1.0))
 
 @dataclass(frozen=True, eq=False)
 class MeasurementTriad:
-    """Right-handed set of three mutually orthogonal measurement directions."""
+    """Right-handed set of three mutually orthogonal directions, the rows of ``matrix``."""
 
     n1: Direction
     n2: Direction
     n3: Direction
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", as_direction(self.n1))
-        object.__setattr__(self, "n2", as_direction(self.n2))
-        object.__setattr__(self, "n3", as_direction(self.n3))
-        mat = self.matrix
-        gram = mat @ mat.T
-        if np.max(np.abs(gram - np.eye(3))) > TRIAD_ATOL:
+        directions = [as_direction(n) for n in (self.n1, self.n2, self.n3)]
+        for name, direction in zip(("n1", "n2", "n3"), directions):
+            object.__setattr__(self, name, direction)
+        mat = np.stack([d.vec for d in directions])
+        rows = mat.tolist()
+        gram_gap = max(abs(_dot(rows[i], rows[j]) - (i == j)) for i in range(3) for j in range(i, 3))
+        if gram_gap > TRIAD_ATOL:
             raise ValueError("triad directions are not mutually orthogonal")
-        det = float(np.linalg.det(mat))
+        det = _dot(rows[0], _cross(rows[1], rows[2]))
         if abs(det - 1.0) > TRIAD_ATOL:
             raise ValueError(f"triad is not right-handed (det = {det!r})")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 matrix whose rows are the triad directions."""
-        return np.stack([self.n1.vec, self.n2.vec, self.n3.vec])
+        object.__setattr__(self, "matrix", _frozen(mat))
 
     @property
     def directions(self) -> tuple[Direction, Direction, Direction]:
@@ -218,8 +246,10 @@ def density_from_bloch(r) -> QubitState:
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
     _check_bloch(r)
-    rho = 0.5 * (IDENTITY2 + np.einsum("k,kij->ij", r, PAULIS))
-    return QubitState(rho)
+    x, y, z = r.tolist()
+    re, im = 0.0 + 0.5 * x, 0.5 * y  # the einsum's entries, less its zero products
+    off = complex(re, 0.0 - im), complex(re, 0.0 + im)
+    return QubitState(((0.5 * (1.0 + z), off[0]), (off[1], 0.5 * (1.0 - z))))
 
 
 def born_probabilities(state, direction) -> ProbDist:
@@ -286,7 +316,7 @@ def random_triad(seed=None) -> MeasurementTriad:
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0.0:
+    if _dot(q[0].tolist(), _cross(*q[1:].tolist())) < 0.0:  # det(q)
         q[2, :] = -q[2, :]
     return MeasurementTriad.from_matrix(q)
 

@@ -17,6 +17,7 @@ from infolab.infospace import (
     evolve_euler,
     info_trajectory,
     info_vector,
+    propagator,
     rotate_triad,
     rotation_matrix,
     total_information,
@@ -241,6 +242,26 @@ class TestNonFiniteInput:
                     evolve(state, h, t)
                 with pytest.raises(ValueError, match="angle"):
                     info_trajectory(state, h, CANONICAL_TRIAD, [0.0, t])
+
+
+    @pytest.mark.parametrize(
+        "matrix, t",
+        [
+            (1e200 * np.eye(2) + np.diag([1.0, -1.0]), 1e200),
+            (np.array([[1e300, 0.3 - 0.4j], [0.3 + 0.4j, 1e300]]), 1e10),
+        ],
+    )
+    def test_global_phase_cannot_overflow_evolve(self, matrix, t):
+        # a0 t overflows, yet the phase e^{-i a0 t} cancels in U rho U+
+        state = random_qubit_state(5, pure=False)
+        h = Hamiltonian(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolved = info_vector(evolve(state, h, t), CANONICAL_TRIAD).as_array()
+            row = info_trajectory(state, h, CANONICAL_TRIAD, [t])[0]
+            with pytest.raises(ValueError, match="phase"):
+                propagator(h, t)
+        np.testing.assert_allclose(evolved, row, rtol=0, atol=1e-12)
 
 
 def _born_route(state, h, triad, times):

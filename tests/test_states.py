@@ -27,6 +27,7 @@ from infolab.states import (
     random_qubit_state,
     random_triad,
 )
+from infolab.states import _cross
 
 PLUS_X_RHO = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 PLUS_Y_RHO = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
@@ -105,6 +106,61 @@ BLOCH_ROUTES = {
     "QubitState": lambda r: QubitState(_rho(r)),
     "info_trajectory": lambda r: info_trajectory(_rho(r), PRECESSION, CANONICAL_TRIAD, [0.0, 1.0]),
 }
+
+
+ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def raw_density(draw):
+    """Hermitian unit-trace 2x2 inside the unit ball, entry by entry, with
+    either sign on every zero (so no einsum has shaped it)."""
+    a = draw(st.floats(0.3, 0.7))
+    x, y = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))
+    return np.array(
+        [[complex(a, draw(ZERO)), complex(x, -y)], [complex(x, y), complex(1.0 - a, draw(ZERO))]]
+    )
+
+
+class TestClosedForms:
+    """Each closed form is bit for bit the einsum or np.cross it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_density())
+    def test_bloch_matches_einsum(self, rho):
+        expected = np.real(np.einsum("kij,ji->k", PAULIS, rho))
+        assert QubitState(rho).bloch.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-10.0, 10.0)] * 4), ZERO, ZERO)
+    def test_pauli_decomposition_matches_einsum(self, entries, zero0, zero1):
+        p, w, x, y = entries
+        h = Hamiltonian(np.array([[complex(p, zero0), complex(x, -y)], [complex(x, y), complex(w, zero1)]]))
+        a0, a = h.pauli_decomposition()
+        assert a0 == float(np.real(np.trace(h.matrix))) / 2.0
+        assert a.tobytes() == (np.real(np.einsum("kij,ji->k", PAULIS, h.matrix)) / 2.0).tobytes()
+
+    # a subnormal component can flip the sign of a zero imaginary part
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-0.57, 0.57, allow_subnormal=False)] * 3))
+    def test_density_from_bloch_matches_einsum(self, r):
+        expected = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", np.array(r), PAULIS))
+        assert density_from_bloch(r).rho.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-1e3, 1e3)] * 3), st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    def test_cross_matches_numpy(self, p, q):
+        # the cross product info_trajectory uses
+        assert np.array(_cross(p, q)).tobytes() == np.cross(p, q).tobytes()
+
+    def test_stored_arrays_are_read_only(self):
+        triad = random_triad(11)
+        assert triad.matrix.tobytes() == np.stack([d.vec for d in triad.directions]).tobytes()
+        state = random_qubit_state(11)
+        _, a = Hamiltonian.from_pauli_coefficients((0.3, -0.2, 0.5)).pauli_decomposition()
+        for arr in (triad.matrix, state.rho, state.bloch, a):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestUnitBallBound:
