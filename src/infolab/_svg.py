@@ -11,15 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 44, 56
+_TICKS = 5  # per axis, both ends included
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def line_chart(
@@ -31,8 +33,6 @@ def line_chart(
     h_lines=(),
     v_lines=(),
     points=(),
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render labelled (label, xs, ys) series as an SVG document string."""
     xs_all = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series])
@@ -43,8 +43,8 @@ def line_chart(
     y_pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -53,10 +53,10 @@ def line_chart(
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
@@ -88,7 +88,7 @@ def line_chart(
         )
 
     parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+        f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{x_label}</text>'
     )
     parts.append(
@@ -119,7 +119,7 @@ def line_chart(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{width - _MARGIN_R - 8}" y="{_MARGIN_T + 16 * (idx + 1)}" '
+            f'<text x="{_WIDTH - _MARGIN_R - 8}" y="{_MARGIN_T + 16 * (idx + 1)}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12" '
             f'fill="{color}">{label}</text>'
         )

@@ -170,7 +170,7 @@ def _parse_times(text: str) -> np.ndarray:
     return start + step * np.arange(int(np.floor(span)) + 1)
 
 
-def _write_text(path: str | None, content: str) -> None:
+def _write_text(path: str | Path | None, content: str) -> None:
     if path is None:
         sys.stdout.write(content)
     else:
@@ -280,13 +280,9 @@ def reproduce_figures(out_dir: str | Path) -> list[Path]:
     table = _sweep_or_usage(0.0, 1.0, 201)
     lo, hi = eff.thresholds()
 
-    fig1_csv = out / "fig1.csv"
-    fig1_svg = out / "fig1.svg"
-    fig2_csv = out / "fig2.csv"
-    fig2_svg = out / "fig2.svg"
-
-    fig1_csv.write_text(_csv(("eta", "ratio"), (table.eta, table.ratio)), encoding="utf-8", newline="")
-    fig1_svg.write_text(
+    paths = [out / name for name in ("fig1.csv", "fig1.svg", "fig2.csv", "fig2.svg")]
+    contents = (
+        _csv(("eta", "ratio"), (table.eta, table.ratio)),
         _svg.line_chart(
             title="Quadratic information total over capacity",
             x_label="eta",
@@ -296,13 +292,7 @@ def reproduce_figures(out_dir: str | Path) -> list[Path]:
             v_lines=(lo, hi),
             points=((lo, 1.0, f"{lo:.2f}"), (hi, 1.0, f"{hi:.2f}")),
         ),
-        encoding="utf-8",
-        newline="",
-    )
-    fig2_csv.write_text(
-        _csv(("eta", "Hx", "Hy"), (table.eta, table.hx, table.hy)), encoding="utf-8", newline=""
-    )
-    fig2_svg.write_text(
+        _csv(("eta", "Hx", "Hy"), (table.eta, table.hx, table.hy)),
         _svg.line_chart(
             title="Shannon uncertainty per direction",
             x_label="eta",
@@ -313,10 +303,10 @@ def reproduce_figures(out_dir: str | Path) -> list[Path]:
                 (2.0 / 3.0, float(np.log2(3.0)), "(2/3, log2 3)"),
             ),
         ),
-        encoding="utf-8",
-        newline="",
     )
-    return [fig1_csv, fig1_svg, fig2_csv, fig2_svg]
+    for path, content in zip(paths, contents):
+        _write_text(path, content)
+    return paths
 
 
 def _cmd_efficiency_figures(args: argparse.Namespace) -> int:

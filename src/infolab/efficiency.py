@@ -138,7 +138,6 @@ class SweepTable:
     hx: np.ndarray
     hy: np.ndarray
     hz: np.ndarray
-    k: float = K_THREE
 
     HEADER = ("eta", "I1", "I2", "I3", "I_total", "ratio", "Hx", "Hy", "Hz")
 
@@ -181,7 +180,7 @@ class SweepTable:
                     total - (self.i1 + self.i2 + self.i3),
                     total - _closed_forms(self.eta)[2],
                     total - (generic[:, 0] + generic[:, 1] + generic[:, 2]),
-                    self.ratio - total / self.k,
+                    self.ratio - total / K_THREE,
                     self.hy - self.hz,
                     self.hy - (self.hx + self.eta),
                     np.column_stack((self.i1, self.i2, self.i3, self.hx, self.hy, self.hz))

@@ -14,14 +14,15 @@ choice):
 * evolving under a Hamiltonian a . sigma for time t rotates the Bloch vector
   by +2|a|t about the unit axis a/|a| (so H = (w/2) sigma_z precesses the
   equator by angle w t);
-* hbar = 1 natural units, times dimensionless.
+* hbar = 1 is fixed, not an option: times are dimensionless and
+  ``Hamiltonian`` takes no hbar.
 
 Time evolution is exact, never an ODE stepper, so conservation can fail
 only by floating-point error.  It has two independent routes:
 
-* single-time ``evolve`` applies the closed-form 2x2 propagator (axis-angle
-  form of the matrix exponential) to the density matrix, and ``info_vector``
-  reads the Born probabilities along each triad direction;
+* single-time ``evolve`` conjugates the density matrix by the SU(2) element
+  ``_su2`` (exp(-i H t) less its global phase, which cancels),
+  and ``info_vector`` reads the Born probabilities along each triad direction;
 * ``info_trajectory`` rotates the Bloch vector for all times at once and
   projects the rows onto the triad, validating the whole array once; it is
   what ``conservation_check`` and ``infolab evolve`` use.
@@ -77,10 +78,9 @@ class InfoVector:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Time-independent 2x2 Hermitian generator, hbar fixed to 1."""
+    """Time-independent 2x2 Hermitian generator, in units with hbar = 1."""
 
     matrix: np.ndarray
-    hbar: float = 1.0
     _pauli: tuple[float, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,9 +89,6 @@ class Hamiltonian:
             raise ValueError(f"Hamiltonian must be 2x2, got {mat.shape}")
         rows = mat.tolist()
         _check_hermitian(rows, "Hamiltonian")
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        object.__setattr__(self, "hbar", float(self.hbar))  # so t / hbar never warns
         # Python floats: finite entries can overflow a0 or |a|^2 to inf, without a warning
         a0 = (0.0 + (rows[0][0] + rows[1][1]).real) / 2.0
         a = [c / 2.0 for c in _pauli_vector(rows)]
@@ -201,48 +198,42 @@ def rotate_triad(triad: MeasurementTriad, axis, angle: float) -> MeasurementTria
     return MeasurementTriad.from_matrix(triad.matrix @ rot.T)
 
 
-def propagator(h: Hamiltonian, t: float) -> np.ndarray:
-    """Closed-form U = exp(-i H t / hbar) for a 2x2 Hermitian H.
+def _su2(axis, half_angle: float) -> np.ndarray:
+    """cos(theta) I - i sin(theta) (n . sigma) for a unit axis n and theta = half_angle.
 
-    With H = a0 I + a . sigma this is
-    e^{-i a0 t} (cos(|a| t) I - i sin(|a| t) (a/|a|) . sigma).
+    Conjugating by it rotates Bloch vectors by 2 theta about n, as
+    ``rotation_matrix(n, 2 theta)`` does.
     """
-    u = _su2_part(h, t)
-    a0t = h.pauli_decomposition()[0] * (float(t) / h.hbar)
-    if not math.isfinite(a0t):
-        raise ValueError("global phase angle a0*t/hbar is not finite")
-    return np.exp(-1j * a0t) * u
+    axis_sigma = np.einsum("k,kij->ij", axis, PAULIS)
+    return np.cos(half_angle) * IDENTITY2 - 1j * np.sin(half_angle) * axis_sigma
 
 
-def _su2_part(h: Hamiltonian, t: float) -> np.ndarray:
-    """The propagator without its global phase: exp(-i (a . sigma) t / hbar)."""
+def evolve(state, h: Hamiltonian, t: float) -> QubitState:
+    """Evolve a state for time t: rho -> U rho U+ with U = exp(-i (a . sigma) t).
+
+    The trace part a0 of H = a0 I + a . sigma only multiplies exp(-i H t) by
+    the global phase e^{-i a0 t}, which cancels in U rho U+, so U leaves it
+    out and a0 t may overflow harmlessly.
+    """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     a = h.pauli_decomposition()[1]
     norm = math.sqrt(a.dot(a))  # as np.linalg.norm
-    t = float(t) / h.hbar
-    if not math.isfinite(norm * t):
+    half_angle = norm * float(t)
+    if not math.isfinite(half_angle):
         raise ValueError("evolution angle 2|a|t/hbar is not finite")
-    if norm == 0.0:
-        return IDENTITY2.copy()
-    axis_sigma = np.einsum("k,kij->ij", a / norm, PAULIS)
-    return np.cos(norm * t) * IDENTITY2 - 1j * np.sin(norm * t) * axis_sigma
-
-
-def evolve(state, h: Hamiltonian, t: float) -> QubitState:
-    """Evolve a state for time t: rho -> U rho U+, U the propagator less its (cancelling) phase."""
+    u = IDENTITY2 if norm == 0.0 else _su2(a / norm, half_angle)
     rho = as_qubit_state(state).rho
-    u = _su2_part(h, t)
     out = u @ rho @ u.conj().T
     return QubitState(0.5 * (out + out.conj().T))  # scrub last-ulp asymmetry
 
 
 def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
-    """First-order commutator stepper rho' = rho - i dt [H, rho] / hbar.
+    """First-order commutator stepper rho' = rho - i dt [H, rho].
 
     Returns the raw (unvalidated) final matrix: the whole point is that the
-    result drifts off the physical manifold as dt grows, which the exact
-    propagator never does.  See demos/precession_conservation.py.
+    result drifts off the physical manifold as dt grows, which exact
+    evolution never does.  See demos/precession_conservation.py.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -250,7 +241,7 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     dt = t / steps
     hm = h.matrix
     for _ in range(steps):
-        rho = rho - (1j * dt / h.hbar) * (hm @ rho - rho @ hm)
+        rho = rho - (1j * dt) * (hm @ rho - rho @ hm)
     return rho
 
 
@@ -258,7 +249,7 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     """Information vectors along exact evolution: an (n, 3) array, one row per time.
 
     With H = a0 I + a . sigma, row k is ``triad.matrix @ R(t_k) r0``, where
-    R(t) rotates the initial Bloch vector r0 by 2|a|t/hbar about a/|a|
+    R(t) rotates the initial Bloch vector r0 by 2|a|t about a/|a|
     (Rodrigues form, as in ``rotation_matrix``); the trace part a0 is a
     global phase.  This equals ``info_vector(evolve(state, h, t), triad)``
     for each t, without building a state per time point.
@@ -284,10 +275,10 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
         k = a / norm
         along = np.dot(k, r0) * k
         # sorted times put the largest |angle| at an end: if it is finite, none overflows
-        if not math.isfinite(2.0 * (norm * (max(-float(times[0]), float(times[-1])) / h.hbar))):
+        if not math.isfinite(2.0 * (norm * max(-float(times[0]), float(times[-1])))):
             raise ValueError("evolution angle 2|a|t/hbar is not finite")
-        # twice the propagator's half-angle |a| t / hbar, rounded the same way
-        theta = 2.0 * (norm * (times / h.hbar))
+        # twice evolve's half-angle |a| t, rounded the same way
+        theta = 2.0 * (norm * times)
         bloch = (
             along
             + np.cos(theta)[:, None] * (r0 - along)

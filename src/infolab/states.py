@@ -163,7 +163,7 @@ class Direction:
         vec = np.array(self.vec, dtype=float).reshape(-1)
         if vec.shape != (3,):
             raise ValueError(f"direction must have 3 components, got {vec.shape}")
-        norm = math.sqrt(vec.dot(vec))  # the value np.linalg.norm computes
+        norm = math.hypot(*vec.tolist())  # no overflow (or warning) for huge components
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"direction norm is {norm!r}, expected 1")
         object.__setattr__(self, "vec", _frozen(vec))

@@ -21,6 +21,7 @@ from . import efficiency as eff
 from . import entanglement as ent
 from .infospace import (
     Hamiltonian,
+    _su2,
     conservation_check,
     evolve,
     info_vector,
@@ -31,8 +32,6 @@ from .infospace import (
 from .measures import bz_elementary, bz_measure, shannon
 from .states import (
     CANONICAL_TRIAD,
-    IDENTITY2,
-    PAULIS,
     Direction,
     ProbDist,
     born_probabilities,
@@ -45,6 +44,8 @@ from .states import (
 )
 
 DEFAULT_SEED = 42
+_GRID_STEP = 0.01  # of the simplex grid searched for an ordering witness
+_WITNESS_MARGIN = 1e-6  # by which a witness's orderings must hold
 
 
 @dataclass(frozen=True)
@@ -61,25 +62,25 @@ def _random_hamiltonian(rng) -> Hamiltonian:
     return Hamiltonian(h.matrix + offset * np.eye(2))
 
 
-def _simplex_grid(step: float = 0.01) -> np.ndarray:
+def _simplex_grid() -> np.ndarray:
     """All points of the n=3 probability simplex on a uniform grid."""
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    ticks = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     p1, p2 = np.meshgrid(ticks, ticks, indexing="ij")
     p3 = 1.0 - p1 - p2
     mask = p3 > -1e-9
     return np.stack([p1[mask], p2[mask], np.clip(p3[mask], 0.0, 1.0)], axis=1)
 
 
-def find_ordering_witness(step: float = 0.01, margin: float = 1e-6):
+def find_ordering_witness():
     """Brute-force search for distributions p, q on the n=3 simplex with
-    shannon(p) < shannon(q) but also bz(p) < bz(q).
+    shannon(p) < shannon(q) but also bz(p) < bz(q), both by more than 1e-6.
 
     Since Shannon measures uncertainty and the quadratic measure measures
     information, an agreeing pair would have the orderings opposed; a pair
     with both orderings aligned is a witness that the two measures rank
     distributions differently.  Returns (p, q) or None.
     """
-    grid = _simplex_grid(step)
+    grid = _simplex_grid()
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(grid > 0.0, np.log2(np.where(grid > 0.0, grid, 1.0)), 0.0)
     h = -np.sum(grid * logs, axis=1)
@@ -89,13 +90,14 @@ def find_ordering_witness(step: float = 0.01, margin: float = 1e-6):
     # a witness pair exists iff some later (higher-H) point also has higher I
     running_min = np.minimum.accumulate(i_sorted)
     candidates = np.nonzero(
-        (i_sorted[1:] > running_min[:-1] + margin)
-        & (h_sorted[1:] > h_sorted[0] + margin)
+        (i_sorted[1:] > running_min[:-1] + _WITNESS_MARGIN)
+        & (h_sorted[1:] > h_sorted[0] + _WITNESS_MARGIN)
     )[0]
     for pos in candidates:
         j = pos + 1
         earlier = np.nonzero(
-            (h_sorted[:j] < h_sorted[j] - margin) & (i_sorted[:j] < i_sorted[j] - margin)
+            (h_sorted[:j] < h_sorted[j] - _WITNESS_MARGIN)
+            & (i_sorted[:j] < i_sorted[j] - _WITNESS_MARGIN)
         )[0]
         if earlier.size:
             p = grid[order[earlier[0]]]
@@ -299,11 +301,6 @@ def _random_two_qubit_state(rng) -> ent.TwoQubitState:
     return ent.TwoQubitState(rho)
 
 
-def _su2_from_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis_sigma = np.einsum("k,kij->ij", axis, PAULIS)
-    return np.cos(angle / 2.0) * IDENTITY2 - 1j * np.sin(angle / 2.0) * axis_sigma
-
-
 def check_icorr_rotation_invariance(rng) -> str:
     worst = 0.0
     for _ in range(50):
@@ -316,7 +313,7 @@ def check_icorr_rotation_invariance(rng) -> str:
         axis = random_direction(rng)
         angle = float(rng.uniform(0.0, 2 * np.pi))
         rot = rotation_matrix(axis, angle)
-        u = _su2_from_rotation(axis.vec, angle)
+        u = _su2(axis.vec, angle / 2.0)
         rotated_rho = np.kron(u, u) @ state.rho @ np.kron(u, u).conj().T
         rotated = ent.TwoQubitState(0.5 * (rotated_rho + rotated_rho.conj().T))
         before = ent.i_corr(state, d1, d2).total_bits

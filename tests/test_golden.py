@@ -2,16 +2,23 @@
 
 ``tests/data/golden/`` holds the exact output of ``infolab verify`` at seed
 42, the default ``efficiency sweep`` CSV, the four ``efficiency figures``
-files and the README's ``evolve --report-conservation`` CSV.  A refactor
-leaves every byte unchanged.  A change that alters a fixture on purpose must
-name each changed line and the reason in ``CHANGES.md``.
+files, the README's ``evolve --report-conservation`` CSV and the stdout of
+each script in ``demos/``.  A refactor leaves every byte unchanged.  A change
+that alters a fixture on purpose must name each changed line and the reason
+in ``CHANGES.md``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import infolab.cli as cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
 def _stdout(capsys, *argv) -> bytes:
@@ -51,3 +58,13 @@ def test_readme_evolve_report(tmp_path, capsys):
         "--report-conservation", "--times", "0:10:0.1", "--out", str(out),
     )
     _assert_golden(out.read_bytes(), "evolve_report.csv")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout(demo):
+    # the subprocess imports the same infolab sources as this test
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == b"", done.stderr.decode()
+    _assert_golden(done.stdout, f"demo_{demo.stem}.txt")

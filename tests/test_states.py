@@ -1,5 +1,7 @@
 """Tests for state containers, Bloch conversions, and Born probabilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,14 @@ class TestDirectionsAndTriads:
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError, match="norm"):
             Direction((1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("vec", [(1e200, 0.0, 0.0), (1e154, 1e154, 1e154), (-1e308, 1e308, 0.0)])
+    def test_huge_direction_is_an_error_not_a_warning(self, vec):
+        # the squared norm of these finite vectors overflows a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm"):
+                Direction(vec)
 
     def test_normalized_constructor(self):
         d = Direction.normalized((3.0, 0.0, 4.0))

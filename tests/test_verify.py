@@ -32,7 +32,7 @@ def test_value_error_is_a_failed_property(monkeypatch):
 
 
 def test_find_ordering_witness_margins():
-    p, q = find_ordering_witness(step=0.02, margin=1e-6)
+    p, q = find_ordering_witness()
     assert shannon(p) < shannon(q) - 1e-6
     assert bz_measure(p) < bz_measure(q) - 1e-6
     assert abs(sum(p) - 1.0) <= 1e-9 and abs(sum(q) - 1.0) <= 1e-9
