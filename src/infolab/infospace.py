@@ -22,7 +22,8 @@ only by floating-point error.  It has two independent routes:
 
 * single-time ``evolve`` conjugates the density matrix by the SU(2) element
   ``_su2`` (exp(-i H t) less its global phase, which cancels),
-  and ``info_vector`` reads the Born probabilities along each triad direction;
+  and ``info_vector`` reads the Born probabilities along each triad direction
+  (never ``triad.matrix @ r``, which is how the second route projects);
 * ``info_trajectory`` rotates the Bloch vector for all times at once and
   projects the rows onto the triad, validating the whole array once; it is
   what ``conservation_check`` and ``infolab evolve`` use.
@@ -30,9 +31,14 @@ only by floating-point error.  It has two independent routes:
 The tests hold the second route to the first.  A fixed-step Euler commutator
 integrator is included purely to demonstrate drift versus step size; it is
 not used by anything else.  Both routes share one unit-ball bound on the
-Bloch radius, |r| <= 1 + 1e-12 (``states._check_bloch``), and one check of
-the InfoVector bounds (``_check_info_rows``).  ``Hamiltonian`` checks Python
-scalars and stores its Pauli coefficients (a0, a), in closed form, once.
+Bloch radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
+InfoVector bounds (``_check_info_rows``) and one guard on the rotation angle
+2|a|t (``_check_angle``).  Each value is checked once, on Python scalars:
+``InfoVector`` checks its three floats, ``Hamiltonian`` the entries of one
+``.tolist()`` before storing its Pauli coefficients (a0, a) in closed form,
+and ``conservation_check`` reports the totals the row check computed.
+``rotation_matrix`` writes the Rodrigues form entry by entry on floats, in
+numpy's order of operations, so its bits are those of the array expression.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .states import (
     PAULIS,
     MeasurementTriad,
     QubitState,
+    _born_pair,
     _check_bloch,
     _check_hermitian,
     _cross,
@@ -55,7 +62,6 @@ from .states import (
     _pauli_vector,
     as_direction,
     as_qubit_state,
-    born_probabilities,
 )
 
 INFO_ATOL = 1e-10
@@ -70,7 +76,7 @@ class InfoVector:
     i3: float
 
     def __post_init__(self):
-        _check_info_rows(np.array((self.i1, self.i2, self.i3)))
+        _check_info_rows((self.i1, self.i2, self.i3))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.i1, self.i2, self.i3])
@@ -138,31 +144,43 @@ class ConservationReport:
         return cls(times=times, i_total_values=_totals(vectors))
 
 
-def _totals(vectors: np.ndarray) -> np.ndarray:
-    """Row-wise i1^2 + i2^2 + i3^2, summed in the order total_information uses."""
-    i1, i2, i3 = vectors.T
+def _totals(vectors):
+    """i1^2 + i2^2 + i3^2, summed in the order total_information uses, of one
+    (i1, i2, i3) or of each row of an (n, 3) array."""
+    i1, i2, i3 = vectors.T if isinstance(vectors, np.ndarray) else vectors
     return i1 * i1 + i2 * i2 + i3 * i3
 
 
-def _check_info_rows(vectors: np.ndarray) -> None:
-    """InfoVector bounds on each row of a (..., 3) array: components in
-    [-1, 1] and total at most 1, within INFO_ATOL; NaN fails them."""
-    if not np.abs(vectors).max() <= 1.0 + INFO_ATOL:
+def _check_info_rows(vectors):
+    """InfoVector bounds on one (i1, i2, i3) of Python scalars or on each row
+    of an (n, 3) array: components in [-1, 1] and total at most 1, within
+    INFO_ATOL; NaN fails them.  Returns ``_totals(vectors)``."""
+    array = isinstance(vectors, np.ndarray)
+    if array:
+        inside = np.abs(vectors).max() <= 1.0 + INFO_ATOL
+    else:
+        inside = all(abs(c) <= 1.0 + INFO_ATOL for c in vectors)
+    if not inside:
         raise ValueError("info vector components outside [-1, 1]")
-    if not _totals(vectors).max() <= 1.0 + INFO_ATOL:
+    totals = _totals(vectors)
+    if not (totals.max() if array else totals) <= 1.0 + INFO_ATOL:
         raise ValueError("info vector longer than 1")
+    return totals
 
 
 def info_vector(state, triad: MeasurementTriad) -> InfoVector:
     """Information vector of a state relative to a triad.
 
     Component m is p+ - p- along direction m, which equals the dot product
-    of direction m with the Bloch vector.
+    of direction m with the Bloch vector.  It is read from the Born
+    probabilities, not computed as ``triad.matrix @ r``, so that it stays an
+    independent check of ``info_trajectory``, which projects that way.
     """
+    r = as_qubit_state(state).bloch
     comps = []
     for direction in triad.directions:
-        probs = born_probabilities(state, direction).probs
-        comps.append(float(probs[0] - probs[1]))
+        up, down = _born_pair(r, direction.vec)
+        comps.append(up - down)
     return InfoVector(*comps)
 
 
@@ -175,20 +193,20 @@ def total_information(iv: InfoVector) -> float:
     return iv.i1 * iv.i1 + iv.i2 * iv.i2 + iv.i3 * iv.i3
 
 
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Active right-handed rotation matrix about a unit axis (Rodrigues form)."""
-    k = as_direction(axis).vec
-    cross = np.array(
-        [
-            [0.0, -k[2], k[1]],
-            [k[2], 0.0, -k[0]],
-            [-k[1], k[0], 0.0],
-        ]
-    )
-    return (
-        np.cos(angle) * np.eye(3)
-        + np.sin(angle) * cross
-        + (1.0 - np.cos(angle)) * np.outer(k, k)
+    """Active right-handed rotation matrix about a unit axis (Rodrigues form).
+
+    Entry (i, j) is cos I + sin [k]x + (1 - cos) k k^T, summed in that order
+    on Python floats: numpy's elementwise form, signed zeros included.
+    """
+    kx, ky, kz = k = as_direction(axis).vec.tolist()
+    cross = ((0.0, -kz, ky), (kz, 0.0, -kx), (-ky, kx, 0.0))
+    c, s = float(np.cos(angle)), float(np.sin(angle))
+    return np.array(
+        [[c * _EYE[i][j] + s * cross[i][j] + (1.0 - c) * (k[i] * k[j]) for j in range(3)] for i in range(3)]
     )
 
 
@@ -208,6 +226,13 @@ def _su2(axis, half_angle: float) -> np.ndarray:
     return np.cos(half_angle) * IDENTITY2 - 1j * np.sin(half_angle) * axis_sigma
 
 
+def _check_angle(half_angle: float) -> None:
+    """Refuse an evolution whose Bloch rotation angle 2|a|t, twice the SU(2)
+    half-angle |a|t, is not finite: both routes evolve by that angle."""
+    if not math.isfinite(2.0 * half_angle):
+        raise ValueError("evolution angle 2|a|t is not finite")
+
+
 def evolve(state, h: Hamiltonian, t: float) -> QubitState:
     """Evolve a state for time t: rho -> U rho U+ with U = exp(-i (a . sigma) t).
 
@@ -220,8 +245,7 @@ def evolve(state, h: Hamiltonian, t: float) -> QubitState:
     a = h.pauli_decomposition()[1]
     norm = math.sqrt(a.dot(a))  # as np.linalg.norm
     half_angle = norm * float(t)
-    if not math.isfinite(half_angle):
-        raise ValueError("evolution angle 2|a|t/hbar is not finite")
+    _check_angle(half_angle)
     u = IDENTITY2 if norm == 0.0 else _su2(a / norm, half_angle)
     rho = as_qubit_state(state).rho
     out = u @ rho @ u.conj().T
@@ -259,6 +283,11 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     vector must pass QubitState's unit-ball check; every row must satisfy the
     InfoVector bounds.  The comparisons are written so that NaN fails them.
     """
+    return _trajectory(state, h, triad, times)[0]
+
+
+def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[np.ndarray, np.ndarray]:
+    """``info_trajectory``'s rows and their totals, which its InfoVector check computes."""
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("need at least one time point")
@@ -275,8 +304,7 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
         k = a / norm
         along = np.dot(k, r0) * k
         # sorted times put the largest |angle| at an end: if it is finite, none overflows
-        if not math.isfinite(2.0 * (norm * max(-float(times[0]), float(times[-1])))):
-            raise ValueError("evolution angle 2|a|t/hbar is not finite")
+        _check_angle(norm * max(-float(times[0]), float(times[-1])))
         # twice evolve's half-angle |a| t, rounded the same way
         theta = 2.0 * (norm * times)
         bloch = (
@@ -286,8 +314,7 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
         )
     _check_bloch(bloch)
     vectors = bloch @ triad.matrix.T
-    _check_info_rows(vectors)
-    return vectors
+    return vectors, _check_info_rows(vectors)
 
 
 def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) -> ConservationReport:
@@ -297,4 +324,4 @@ def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) ->
     evolution it stays at floating-point noise.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    return ConservationReport.from_trajectory(times, info_trajectory(state, h, triad, times))
+    return ConservationReport(times=times, i_total_values=_trajectory(state, h, triad, times)[1])

@@ -9,10 +9,16 @@ Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
 Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 (``_check_bloch``); two-qubit positivity uses eigenvalues.  Every value type
-rejects non-finite input.  Checks run on the Python scalars of one
-``.tolist()``; ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored
-once, in closed forms bit-identical to the einsum and determinant they
-replace.  The seeded samplers at the end are the ones the
+rejects non-finite input.  Each value is checked once, on the Python scalars
+of one ``.tolist()``, because numpy calls on 3-element arrays cost more than
+the arithmetic: ``_check_bloch`` takes one vector's three floats (or the
+rows of a trajectory array); a triad checks each row's unit norm, then the
+Gram matrix, then the determinant, and ``from_matrix`` does not check its
+rows a second time as ``Direction`` values; ``_born_pair`` applies
+``ProbDist``'s rules to one pair of Born probabilities without building one.
+``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored once, in
+closed forms bit-identical to the einsum and determinant they replace.  The
+seeded samplers at the end are the ones the
 ``verify`` checks and the test suite draw from: the batch samplers
 ``random_directions`` and ``random_bloch_vectors`` return (n, 3) arrays, and
 ``random_direction``, ``random_qubit_state`` and ``random_pure_state`` wrap
@@ -55,11 +61,7 @@ class ProbDist:
         probs = np.array(self.probs, dtype=float).reshape(-1)
         if probs.size < 2:
             raise ValueError(f"need at least 2 outcomes, got {probs.size}")
-        if any(p < -ATOL or p > 1.0 + ATOL for p in probs.tolist()):
-            raise ValueError(f"probabilities outside [0, 1]: {probs.tolist()}")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= ATOL:  # also rejects NaN entries
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        _check_probs(probs.tolist(), float(probs.sum()))
         object.__setattr__(self, "probs", _frozen(probs))
 
     @property
@@ -68,6 +70,14 @@ class ProbDist:
 
     def __iter__(self):
         return iter(self.probs)
+
+
+def _check_probs(probs: list, total: float) -> None:
+    """ProbDist's rules on Python floats: each in [0, 1] and their sum 1, within ATOL."""
+    if any(p < -ATOL or p > 1.0 + ATOL for p in probs):
+        raise ValueError(f"probabilities outside [0, 1]: {probs}")
+    if not abs(total - 1.0) <= ATOL:  # also rejects NaN entries
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
 
 def as_probdist(p) -> ProbDist:
@@ -89,10 +99,10 @@ class QubitState:
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
         rows = rho.tolist()
         _check_density(rows)
-        bloch = np.array(_pauli_vector(rows))
+        bloch = _pauli_vector(rows)
         _check_bloch(bloch)
         object.__setattr__(self, "rho", _frozen(rho))
-        object.__setattr__(self, "bloch", _frozen(bloch))
+        object.__setattr__(self, "bloch", _frozen(np.array(bloch)))
 
     @property
     def purity(self) -> float:
@@ -135,10 +145,18 @@ def _dot(p, q) -> float:
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _check_bloch(r: np.ndarray) -> None:
-    """Each row of a (..., 3) array finite with |r| <= 1 + ATOL: qubit positivity
-    in closed form, as (I + r . sigma) / 2 has eigenvalues (1 +- |r|) / 2."""
-    if np.abs(r).max() <= 1.0 + ATOL:  # false on NaN; if true, no square overflows
+def _check_bloch(r) -> None:
+    """Bloch vector r finite with |r| <= 1 + ATOL: qubit positivity in closed
+    form, as (I + r . sigma) / 2 has eigenvalues (1 +- |r|) / 2.  ``r`` is one
+    vector as three Python floats, or a (..., 3) array checked row by row."""
+    if not isinstance(r, np.ndarray):
+        if not all(map(math.isfinite, r)):
+            raise ValueError("Bloch vector has non-finite components")
+        x, y, z = r
+        # (x^2 + z^2) + y^2 is the order numpy's vectorised einsum sums a 3-vector in, so
+        # this matches the array path; Python floats overflow to inf without a warning
+        norm = math.sqrt(x * x + z * z + y * y)
+    elif np.abs(r).max() <= 1.0 + ATOL:  # false on NaN; if true, no square overflows
         norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
     elif not np.all(np.isfinite(r)):
         raise ValueError("Bloch vector has non-finite components")
@@ -163,10 +181,15 @@ class Direction:
         vec = np.array(self.vec, dtype=float).reshape(-1)
         if vec.shape != (3,):
             raise ValueError(f"direction must have 3 components, got {vec.shape}")
-        norm = math.hypot(*vec.tolist())  # no overflow (or warning) for huge components
-        if not abs(norm - 1.0) <= ATOL:
-            raise ValueError(f"direction norm is {norm!r}, expected 1")
+        _check_unit(vec.tolist())
         object.__setattr__(self, "vec", _frozen(vec))
+
+    @classmethod
+    def _of_checked(cls, vec: np.ndarray) -> "Direction":
+        """Wrap a read-only vector that already passed ``_check_unit``, without a second check."""
+        direction = object.__new__(cls)
+        object.__setattr__(direction, "vec", vec)
+        return direction
 
     @classmethod
     def normalized(cls, values) -> "Direction":
@@ -182,6 +205,13 @@ class Direction:
         if not 0.0 < norm < np.inf:
             raise ValueError(f"cannot normalize {vec.tolist()}: need a finite nonzero vector")
         return cls(vec / norm)
+
+
+def _check_unit(row: list) -> None:
+    """Direction's norm rule on three Python floats: 1 within ATOL."""
+    norm = math.hypot(*row)  # no overflow (or warning) for huge components
+    if not abs(norm - 1.0) <= ATOL:
+        raise ValueError(f"direction norm is {norm!r}, expected 1")
 
 
 def as_direction(d) -> Direction:
@@ -206,15 +236,9 @@ class MeasurementTriad:
         directions = [as_direction(n) for n in (self.n1, self.n2, self.n3)]
         for name, direction in zip(("n1", "n2", "n3"), directions):
             object.__setattr__(self, name, direction)
-        mat = np.stack([d.vec for d in directions])
-        rows = mat.tolist()
-        gram_gap = max(abs(_dot(rows[i], rows[j]) - (i == j)) for i in range(3) for j in range(i, 3))
-        if gram_gap > TRIAD_ATOL:
-            raise ValueError("triad directions are not mutually orthogonal")
-        det = _dot(rows[0], _cross(rows[1], rows[2]))
-        if abs(det - 1.0) > TRIAD_ATOL:
-            raise ValueError(f"triad is not right-handed (det = {det!r})")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        rows = [d.vec.tolist() for d in directions]
+        _check_triad(rows)
+        object.__setattr__(self, "matrix", _frozen(np.array(rows)))
 
     @property
     def directions(self) -> tuple[Direction, Direction, Direction]:
@@ -225,7 +249,30 @@ class MeasurementTriad:
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (3, 3):
             raise ValueError(f"triad matrix must be 3x3, got {rows.shape}")
-        return cls(Direction(rows[0]), Direction(rows[1]), Direction(rows[2]))
+        matrix = _frozen(rows.copy())
+        floats = matrix.tolist()
+        for row in floats:  # Direction's rule on each row, once
+            _check_unit(row)
+        _check_triad(floats)
+        triad = object.__new__(cls)  # checked: skip __post_init__
+        for name, vec in zip(("n1", "n2", "n3"), matrix):
+            object.__setattr__(triad, name, Direction._of_checked(vec))
+        object.__setattr__(triad, "matrix", matrix)
+        return triad
+
+
+def _check_triad(rows: list) -> None:
+    """Orthonormal, then right-handed, within TRIAD_ATOL, for three unit rows of Python floats."""
+    a, b, c = rows
+    gram_gap = max(
+        abs(_dot(a, a) - 1.0), abs(_dot(a, b)), abs(_dot(a, c)),
+        abs(_dot(b, b) - 1.0), abs(_dot(b, c)), abs(_dot(c, c) - 1.0),
+    )
+    if gram_gap > TRIAD_ATOL:
+        raise ValueError("triad directions are not mutually orthogonal")
+    det = _dot(a, _cross(b, c))
+    if abs(det - 1.0) > TRIAD_ATOL:
+        raise ValueError(f"triad is not right-handed (det = {det!r})")
 
 
 CANONICAL_TRIAD = MeasurementTriad(X_DIR, Y_DIR, Z_DIR)
@@ -245,8 +292,9 @@ def density_from_bloch(r) -> QubitState:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
+    r = r.tolist()
     _check_bloch(r)
-    x, y, z = r.tolist()
+    x, y, z = r
     re, im = 0.0 + 0.5 * x, 0.5 * y  # the einsum's entries, less its zero products
     off = complex(re, 0.0 - im), complex(re, 0.0 + im)
     return QubitState(((0.5 * (1.0 + z), off[0]), (off[1], 0.5 * (1.0 - z))))
@@ -254,10 +302,16 @@ def density_from_bloch(r) -> QubitState:
 
 def born_probabilities(state, direction) -> ProbDist:
     """Spin up/down probabilities along a direction: p = (1 +- d.r) / 2."""
-    r = as_qubit_state(state).bloch
-    d = as_direction(direction).vec
-    overlap = float(np.dot(d, r))
-    return ProbDist((0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)))
+    return ProbDist(_born_pair(as_qubit_state(state).bloch, as_direction(direction).vec))
+
+
+def _born_pair(r: np.ndarray, d: np.ndarray) -> list[float]:
+    """[p+, p-] = [(1 + d.r) / 2, (1 - d.r) / 2] as Python floats, held to
+    ProbDist's rules without building one."""
+    overlap = float(d.dot(r))  # np.dot, not _dot: BLAS may fuse the multiply-adds
+    probs = [0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)]
+    _check_probs(probs, probs[0] + probs[1])
+    return probs
 
 
 # Seeded pseudo-randomness uses NumPy's default_rng (PCG64) throughout so the

@@ -128,7 +128,7 @@ def test_criterion_6_triad_rotation_invariance():
     def body():
         check_triad_rotation_invariance(np.random.default_rng(6))
 
-    _criterion("criterion-6-triad-rotation-invariance", 1.0, body)
+    _criterion("criterion-6-triad-rotation-invariance", 0.6, body)
 
 
 def test_criterion_7_entanglement_anchors():

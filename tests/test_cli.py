@@ -77,7 +77,17 @@ class TestComputationErrors:
         code, out, err = run(
             capsys, "evolve", "--state", "0,0,1", "--hamiltonian", "1e150,0,0", "--t", "1e160"
         )
-        assert (code, out, err) == (1, "", "error: evolution angle 2|a|t/hbar is not finite\n")
+        assert (code, out, err) == (1, "", "error: evolution angle 2|a|t is not finite\n")
+
+    # |a|t = 1.5e308 is finite but the Bloch angle 2|a|t is not: both routes refuse it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "extra", [(), ("--report-conservation", "--times", "1.5e158:1.5e158:1")], ids=["evolve", "trajectory"]
+    )
+    def test_one_angle_guard_for_both_routes(self, capsys, extra):
+        argv = ["evolve", "--state", "plus-x", "--hamiltonian", "1e150,0,0", "--t", "1.5e158", *extra]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: evolution angle 2|a|t is not finite\n")
 
     def test_unwritable_output_exit_one(self, capsys):
         code, _, err = run(

@@ -13,6 +13,7 @@ from infolab.infospace import (
     Hamiltonian,
     InfoVector,
     _su2,
+    _totals,
     conservation_check,
     evolve,
     evolve_euler,
@@ -26,10 +27,12 @@ from infolab.states import (
     CANONICAL_TRIAD,
     PAULIS,
     Direction,
+    MeasurementTriad,
     ProbDist,
     QubitState,
     Y_DIR,
     Z_DIR,
+    born_probabilities,
     density_from_bloch,
     named_state,
     random_directions,
@@ -67,6 +70,17 @@ class TestInfoVector:
         np.testing.assert_allclose(
             info_vector(state, triad).as_array(), triad.matrix @ state.bloch, atol=1e-12
         )
+
+    def test_each_component_is_the_born_difference(self):
+        # the Born route, bit for bit: p+ - p- along each direction, with d.r from np.dot
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            state, triad = random_qubit_state(rng), random_triad(rng)
+            iv = info_vector(state, triad)
+            for comp, d in zip((iv.i1, iv.i2, iv.i3), triad.directions):
+                probs = born_probabilities(state, d).probs
+                overlap = np.dot(d.vec, state.bloch)
+                assert comp == probs[0] - probs[1] == 0.5 * (1.0 + overlap) - 0.5 * (1.0 - overlap)
 
     def test_component_validation(self):
         with pytest.raises(ValueError, match="components"):
@@ -124,10 +138,31 @@ class TestRotateTriad:
             rotated = np.einsum("k,kij->ij", rotation_matrix(axis, theta) @ v, PAULIS)
             np.testing.assert_allclose(conjugated, rotated, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("angle", [0.0, np.pi, -np.pi / 2])
+    @pytest.mark.parametrize("axis", [tuple(sign * row) for row in np.eye(3) for sign in (1.0, -1.0)])
+    def test_rotation_matrix_is_numpy_rodrigues_on_axes(self, axis, angle):
+        _assert_same_bits(rotation_matrix(axis, angle), _numpy_rodrigues(axis, angle))
+
+    def test_rotation_matrix_is_numpy_rodrigues_on_draws(self):
+        rng = np.random.default_rng(37)
+        for axis, angle in zip(random_directions(rng, 1000), rng.uniform(-4 * np.pi, 4 * np.pi, 1000)):
+            _assert_same_bits(rotation_matrix(axis, angle), _numpy_rodrigues(axis, angle))
+
     def test_rotation_matrix_is_special_orthogonal(self):
         rot = rotation_matrix(Direction.normalized((2.0, 1.0, -1.0)), 1.1)
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+
+
+def _numpy_rodrigues(axis, angle) -> np.ndarray:
+    """The numpy form rotation_matrix replaced, kept as its reference."""
+    k = Direction(axis).vec
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.cos(angle) * np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * np.outer(k, k)
+
+
+def _assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert np.array_equal(actual, expected) and np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 class TestEvolve:
@@ -322,6 +357,8 @@ class TestInfoTrajectory:
         report = conservation_check(state, h, CANONICAL_TRIAD, times)
         np.testing.assert_array_equal(report.times, times)
         np.testing.assert_allclose(report.i_total_values, np.sum(rows * rows, axis=1), rtol=0, atol=1e-15)
+        # the totals the row check computed, not a second evaluation that could round differently
+        np.testing.assert_array_equal(report.i_total_values, _totals(rows))
         assert report.max_drift < 1e-12
 
     @pytest.mark.parametrize(
@@ -349,6 +386,59 @@ class TestInfoTrajectory:
         stand_in = SimpleNamespace(matrix=np.array(rows))
         with pytest.raises(ValueError, match=match):
             info_trajectory(named_state("plus-x"), random_hamiltonian(10), stand_in, [0.0])
+
+
+@pytest.mark.filterwarnings("error")
+class TestSinglePassRejections:
+    """Each value type checks its rows once, in the order and with the
+    messages of the row-by-row checks it replaced, and never warns."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.eye(3)[:2], "triad matrix must be 3x3, got (2, 3)"),
+            ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "direction norm is nan, expected 1"),
+            ([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]], "direction norm is inf, expected 1"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 + 2e-12]], "direction norm is 1.000000000002, expected 1"),
+            ([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], "triad directions are not mutually orthogonal"),
+            (np.diag([1.0, 1.0, -1.0]), "triad is not right-handed (det = -1.0)"),
+        ],
+    )
+    @pytest.mark.parametrize("build", ["from_matrix", "directions"])
+    def test_triad(self, build, rows, message):
+        rows = np.asarray(rows)
+        if build == "directions" and rows.shape != (3, 3):
+            rows, message = [rows[0][:2], *rows], "direction must have 3 components, got (2,)"
+        with pytest.raises(ValueError) as err:
+            MeasurementTriad.from_matrix(rows) if build == "from_matrix" else MeasurementTriad(*rows)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            ((1.5, 0.0, 0.0), "Bloch vector norm 1.5 outside the unit ball: negative eigenvalue"),
+            ((1e200, 0.0, 0.0), "Bloch vector norm inf outside the unit ball: negative eigenvalue"),
+            ((np.nan, 0.0, 0.0), "Bloch vector has non-finite components"),
+            ((np.inf, 0.0, 0.0), "Bloch vector has non-finite components"),
+        ],
+    )
+    def test_density_from_bloch(self, r, message):
+        with pytest.raises(ValueError) as err:
+            density_from_bloch(r)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "comps, message",
+        [
+            ((1.1, 0.0, 0.0), "info vector components outside [-1, 1]"),
+            ((0.8, 0.8, 0.0), "info vector longer than 1"),
+            ((np.nan, 0.0, 0.0), "info vector components outside [-1, 1]"),
+        ],
+    )
+    def test_info_vector(self, comps, message):
+        with pytest.raises(ValueError) as err:
+            InfoVector(*comps)
+        assert str(err.value) == message
 
 
 class TestEulerStepperDrift:
