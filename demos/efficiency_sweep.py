@@ -14,12 +14,12 @@ import numpy as np
 
 from infolab import (
     EfficiencyModel,
-    bz_components,
+    bz_measure,
     bz_total_closed,
     ideal_bz_total,
     outcome_probabilities,
     ratio_sweep,
-    shannon_components,
+    shannon,
     thresholds,
 )
 from infolab.efficiency import K_THREE
@@ -35,7 +35,7 @@ def main():
     print("\nQuadratic information per direction and in total:")
     for eta in (0.0, 0.25, 0.6, 0.905505, 1.0):
         model = EfficiencyModel(eta)
-        i1, i2, i3 = bz_components(model)
+        i1, i2, i3 = map(bz_measure, outcome_probabilities(model))
         total = bz_total_closed(model)
         print(
             f"  eta = {eta:.4f}:  I = ({i1:.4f}, {i2:.4f}, {i3:.4f})"
@@ -48,7 +48,7 @@ def main():
 
     print("\nShannon uncertainties behave tamely across the same range:")
     for eta in (0.25, 0.5, 2.0 / 3.0, 0.9):
-        hx, hy, _ = shannon_components(EfficiencyModel(eta))
+        hx, hy, _ = map(shannon, outcome_probabilities(EfficiencyModel(eta)))
         print(f"  eta = {eta:.4f}:  Hx = {hx:.5f}   Hy = Hz = {hy:.5f}")
     print("  Hx peaks at eta = 1/2 (1 bit); Hy = Hz peaks at eta = 2/3 (log2 3 bits).")
 

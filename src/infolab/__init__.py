@@ -13,13 +13,10 @@ correlation-information condition for entanglement (:mod:`.entanglement`).
 from .efficiency import (
     EfficiencyModel,
     SweepTable,
-    bz_components,
     bz_total_closed,
-    ideal_bz_components,
     ideal_bz_total,
     outcome_probabilities,
     ratio_sweep,
-    shannon_components,
     thresholds,
 )
 from .entanglement import (
@@ -49,19 +46,13 @@ from .infospace import (
     total_information,
 )
 from .measures import (
-    MeasureResult,
-    binomial_uncertainty,
     bz_elementary,
     bz_measure,
-    evaluate_measure,
     normalization_factor,
     shannon,
 )
 from .states import (
     CANONICAL_TRIAD,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     X_DIR,
     Y_DIR,
     Z_DIR,
@@ -69,12 +60,10 @@ from .states import (
     MeasurementTriad,
     ProbDist,
     QubitState,
-    bloch_from_density,
     born_probabilities,
     density_from_bloch,
     named_state,
     random_direction,
-    random_pure_state,
     random_qubit_state,
     random_triad,
 )

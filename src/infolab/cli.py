@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -52,16 +53,17 @@ from .entanglement import (
 from .infospace import (
     ConservationReport,
     Hamiltonian,
+    _trajectory,
     evolve,
-    info_trajectory,
     info_vector,
     total_information,
 )
-from .measures import evaluate_measure
+from .measures import bz_measure, shannon
 from .states import (
     CANONICAL_TRIAD,
     Direction,
     MeasurementTriad,
+    ProbDist,
     QubitState,
     density_from_bloch,
     named_state,
@@ -197,13 +199,16 @@ def _csv(header, columns) -> str:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    probs = _parse_floats(args.probs, None, "probabilities")
     try:
-        result = evaluate_measure(args.kind, probs)
+        dist = ProbDist(_parse_floats(args.probs, None, "probabilities"))
     except ValueError as err:
         raise UsageError(str(err))
-    print(_fmt(result.value, args.precision))
-    print(f"n={result.n} k={_fmt(result.k, args.precision)}", file=sys.stderr)
+    value = (shannon if args.kind == "shannon" else bz_measure)(dist)
+    k = math.log2(dist.n)
+    if not 0.0 <= value <= k + 1e-12:  # a wrong result, not a usage error: exit 1
+        raise ValueError(f"{args.kind} value {value!r} outside [0, {k!r}]")
+    print(_fmt(value, args.precision))
+    print(f"n={dist.n} k={_fmt(k, args.precision)}", file=sys.stderr)
     return 0
 
 
@@ -235,8 +240,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.times is None:
         raise UsageError("--report-conservation requires --times start:stop:step")
     times = _parse_times(args.times)
-    vectors = info_trajectory(state, h, triad, times)
-    report = ConservationReport.from_trajectory(times, vectors)
+    vectors, totals = _trajectory(state, h, triad, times)
+    report = ConservationReport(times, totals)
     columns = (report.times, *vectors.T, report.i_total_values)
     _write_text(args.out, _csv(("t", "i1", "i2", "i3", "I_total"), columns))
     if args.out is not None:

@@ -23,15 +23,15 @@ encode, so it is not conserved across experiments of different efficiency.
 
 Perfect detection is a structural change, not the eta -> 1 limit: with no
 third outcome each direction is a two-outcome experiment again.  That ideal
-mode (total of 1 bit) is kept separate in ideal_bz_components /
-ideal_bz_total rather than being silently conflated with the n = 3 model,
-which at eta = 1 still gives (3/2) log2 3 bits.
+mode (total of 1 bit) is kept separate in ideal_bz_total rather than being
+silently conflated with the n = 3 model, which at eta = 1 still gives
+(3/2) log2 3 bits.
 
 The closed forms above are written once, in _closed_forms, which works on a
-scalar or an array of eta: the scalar functions wrap it and ratio_sweep calls
-it once for the whole grid.  SweepTable.validate is the one check of a
-sweep's row identities; it compares every row with the generic measures of
-that row's outcome distributions and returns the worst gap.
+scalar or an array of eta: bz_total_closed wraps it and ratio_sweep calls it
+once for the whole grid.  SweepTable.validate is the one check of a sweep's
+row identities; it compares every row with the generic measures of that
+row's outcome distributions and returns the worst gap.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def outcome_probabilities(m: EfficiencyModel) -> tuple[ProbDist, ProbDist, ProbD
 def _closed_forms(eta):
     """(I1, I2 = I3, I_total, Hx, Hy = Hz) at a scalar or an array of eta.
 
-    The one implementation of the model's closed forms: the scalar wrappers
-    below and ratio_sweep both evaluate it.
+    The one implementation of the model's closed forms: bz_total_closed and
+    ratio_sweep both evaluate it.
     """
     eta = np.asarray(eta, dtype=float)
     n3 = normalization_factor(3)
@@ -84,35 +84,15 @@ def _closed_forms(eta):
     return i1, i23, total, hx, hx + eta
 
 
-def bz_components(m: EfficiencyModel) -> tuple[float, float, float]:
-    """Closed-form quadratic informations (I1, I2, I3) along x, y, z."""
-    i1, i23, _, _, _ = _closed_forms(m.eta)
-    return float(i1), float(i23), float(i23)
-
-
 def bz_total_closed(m: EfficiencyModel) -> float:
     """Closed-form total I1 + I2 + I3 = (3 log2(3) / 2) (5 eta^2 - 6 eta + 2)."""
     return float(_closed_forms(m.eta)[2])
 
 
-def shannon_components(m: EfficiencyModel) -> tuple[float, float, float]:
-    """Shannon uncertainties (Hx, Hy, Hz); Hy = Hz = Hx + eta."""
-    _, _, _, hx, hy = _closed_forms(m.eta)
-    return float(hx), float(hy), float(hy)
-
-
-def ideal_bz_components() -> tuple[float, float, float]:
-    """Two-outcome (ideal detection) informations: certainty along x only."""
-    return (
-        bz_elementary(1.0, 0.0),
-        bz_elementary(0.5, 0.5),
-        bz_elementary(0.5, 0.5),
-    )
-
-
 def ideal_bz_total() -> float:
-    """Total information in ideal mode: exactly 1 bit."""
-    return sum(ideal_bz_components())
+    """Total information in ideal mode, exactly 1 bit: the two-outcome
+    informations along x, y, z, certainty along x only."""
+    return bz_elementary(1.0, 0.0) + bz_elementary(0.5, 0.5) + bz_elementary(0.5, 0.5)
 
 
 def thresholds() -> tuple[float, float]:

@@ -138,11 +138,6 @@ class ConservationReport:
         """Largest deviation of the total from its value at the first time."""
         return float(np.max(np.abs(self.i_total_values - self.i_total_values[0])))
 
-    @classmethod
-    def from_trajectory(cls, times, vectors) -> "ConservationReport":
-        """Report for the rows of ``info_trajectory(state, h, triad, times)``."""
-        return cls(times=times, i_total_values=_totals(vectors))
-
 
 def _totals(vectors):
     """i1^2 + i2^2 + i3^2, summed in the order total_information uses, of one

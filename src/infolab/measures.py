@@ -15,11 +15,10 @@ detector-efficiency analysis uses).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ATOL, as_probdist
+from .states import as_probdist
 
 
 def shannon(p) -> float:
@@ -59,43 +58,3 @@ def bz_elementary(p1: float, p2: float) -> float:
     dist = as_probdist((p1, p2))
     diff = float(dist.probs[0] - dist.probs[1])
     return diff * diff
-
-
-def binomial_uncertainty(p: float) -> float:
-    """Per-trial binomial variance p (1 - p); the seed expression behind the
-    quadratic measure.  Maximal (1/4) at p = 1/2."""
-    if not -ATOL <= p <= 1.0 + ATOL:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    return p * (1.0 - p)
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    """One measure evaluation: value in bits, plus the outcome count n
-    and the capacity k = log2 n it is bounded by."""
-
-    value: float
-    measure_kind: str
-    n: int
-    k: float
-
-    def __post_init__(self):
-        if self.measure_kind not in ("shannon", "bz"):
-            raise ValueError(f"unknown measure kind {self.measure_kind!r}")
-        if not 0.0 <= self.value <= self.k + 1e-12:
-            raise ValueError(
-                f"{self.measure_kind} value {self.value!r} outside [0, {self.k!r}]"
-            )
-
-
-def evaluate_measure(kind: str, p) -> MeasureResult:
-    """Evaluate "shannon" or "bz" on a distribution, packaged with n and k."""
-    dist = as_probdist(p)
-    if kind == "shannon":
-        value = shannon(dist)
-    elif kind == "bz":
-        value = bz_measure(dist)
-    else:
-        raise ValueError(f"unknown measure kind {kind!r}")
-    return MeasureResult(value=value, measure_kind=kind, n=dist.n, k=math.log2(dist.n))

@@ -21,8 +21,8 @@ closed forms bit-identical to the einsum and determinant they replace.  The
 seeded samplers at the end are the ones the
 ``verify`` checks and the test suite draw from: the batch samplers
 ``random_directions`` and ``random_bloch_vectors`` return (n, 3) arrays, and
-``random_direction``, ``random_qubit_state`` and ``random_pure_state`` wrap
-them to return one validated value.
+``random_direction`` and ``random_qubit_state`` wrap them to return one
+validated value (``pure=True`` draws from the sphere's surface).
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ import numpy as np
 ATOL = 1e-12
 TRIAD_ATOL = 1e-10
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+PAULIS = np.array(  # sigma_x, sigma_y, sigma_z
+    [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+    dtype=complex,
+)
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
@@ -278,15 +278,6 @@ def _check_triad(rows: list) -> None:
 CANONICAL_TRIAD = MeasurementTriad(X_DIR, Y_DIR, Z_DIR)
 
 
-def bloch_from_density(state) -> np.ndarray:
-    """Bloch vector of a qubit state, r_k = Re tr(rho sigma_k).
-
-    Accepts a QubitState or a raw 2x2 matrix; raw input is validated first,
-    so non-Hermitian or non-unit-trace matrices are rejected.
-    """
-    return as_qubit_state(state).bloch
-
-
 def density_from_bloch(r) -> QubitState:
     """Qubit state (I + r . sigma) / 2 for a Bloch vector inside the unit ball."""
     r = np.asarray(r, dtype=float).reshape(-1)
@@ -354,11 +345,6 @@ def random_direction(seed=None) -> Direction:
 def random_qubit_state(seed=None, pure: bool | None = None) -> QubitState:
     """One ``random_bloch_vectors`` row as a validated QubitState."""
     return density_from_bloch(random_bloch_vectors(seed, 1, pure)[0])
-
-
-def random_pure_state(seed=None) -> QubitState:
-    """Pure qubit state drawn uniformly from the Bloch sphere surface."""
-    return random_qubit_state(seed, pure=True)
 
 
 def random_triad(seed=None) -> MeasurementTriad:

@@ -20,9 +20,9 @@ import pytest
 from infolab.efficiency import (
     EfficiencyModel,
     K_THREE,
+    _closed_forms,
     outcome_probabilities,
     ratio_sweep,
-    shannon_components,
     thresholds,
 )
 from infolab.entanglement import bell_state, i_corr
@@ -95,9 +95,9 @@ def test_criterion_3_figure2():
         etas, hx, hy, hz = table.eta, table.hx, table.hy, table.hz
         # H_x peaks at exactly eta = 1/2 with value 1 bit
         assert etas[int(np.argmax(hx))] == 0.5
-        assert abs(shannon_components(EfficiencyModel(0.5))[0] - 1.0) <= 1e-12
+        assert abs(_closed_forms(0.5)[3] - 1.0) <= 1e-12
         # H_y = H_z peaks at eta = 2/3 with value log2 3
-        hy_peak = shannon_components(EfficiencyModel(2.0 / 3.0))[1]
+        hy_peak = _closed_forms(2.0 / 3.0)[4]
         assert abs(hy_peak - math.log2(3.0)) <= 1e-12
         assert np.max(hy) <= hy_peak + 1e-12
         assert abs(etas[int(np.argmax(hy))] - 2.0 / 3.0) <= 0.005

@@ -72,6 +72,12 @@ class TestComputationErrors:
         )
         assert code == 1 and err.startswith("error:")
 
+    def test_measure_value_outside_capacity_exit_one(self, monkeypatch, capsys):
+        # valid --probs, wrong result: a computation error, not a usage error
+        monkeypatch.setattr(cli, "bz_measure", lambda dist: 1.5)
+        code, out, err = run(capsys, "measure", "bz", "--probs", "0.5,0.5")
+        assert (code, out, err) == (1, "", "error: bz value 1.5 outside [0, 1.0]\n")
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_angle_exit_one(self, capsys):
         code, out, err = run(
@@ -246,7 +252,8 @@ class TestMalformedEvolve:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(cli, "info_trajectory", counted("trajectory", cli.info_trajectory))
+        # the rows and their totals both come from this one trajectory pass
+        monkeypatch.setattr(cli, "_trajectory", counted("trajectory", cli._trajectory))
         monkeypatch.setattr(cli, "evolve", counted("evolve", cli.evolve))
         code, _, _ = run(capsys, *REPORT, "0:10:0.1", "--out", str(tmp_path / "r.csv"))
         assert code == 0

@@ -9,16 +9,14 @@ import pytest
 from infolab.efficiency import (
     EfficiencyModel,
     K_THREE,
-    bz_components,
+    _closed_forms,
     bz_total_closed,
-    ideal_bz_components,
     ideal_bz_total,
     outcome_probabilities,
     ratio_sweep,
-    shannon_components,
     thresholds,
 )
-from infolab.measures import bz_measure
+from infolab.measures import bz_elementary, bz_measure, shannon
 
 LOG2_3 = math.log2(3.0)
 
@@ -51,22 +49,27 @@ class TestOutcomeProbabilities:
 
 
 class TestBzComponents:
+    """The closed forms return one I2 = I3 value; the oracle checks it
+    against the generic measure along y and along z."""
+
     def test_perfect_efficiency_values(self):
         # oracle: generic quadratic measure on (1,0,0) and (1/2,1/2,0)
-        i1, i2, i3 = bz_components(EfficiencyModel(1.0))
+        i1, i23, _, _, _ = _closed_forms(1.0)
+        _, py, pz = outcome_probabilities(EfficiencyModel(1.0))
         assert i1 == pytest.approx(bz_measure((1.0, 0.0, 0.0)), abs=1e-12)
-        assert i2 == pytest.approx(bz_measure((0.5, 0.5, 0.0)), abs=1e-12)
+        assert i23 == pytest.approx(bz_measure((0.5, 0.5, 0.0)), abs=1e-12)
         assert i1 == pytest.approx(LOG2_3, abs=1e-12)
-        assert i2 == pytest.approx(LOG2_3 / 4.0, abs=1e-12)
-        assert i2 == i3
+        assert i23 == pytest.approx(LOG2_3 / 4.0, abs=1e-12)
+        assert bz_measure(py) == bz_measure(pz)
 
     def test_zero_efficiency_certainty_everywhere(self):
-        for component in bz_components(EfficiencyModel(0.0)):
+        i1, i23, _, _, _ = _closed_forms(0.0)
+        for component in (i1, i23):
             assert component == pytest.approx(LOG2_3, abs=1e-12)
 
     def test_uniform_point_kills_y_and_z(self):
-        _, i2, i3 = bz_components(EfficiencyModel(2.0 / 3.0))
-        assert abs(i2) <= 1e-12 and abs(i3) <= 1e-12
+        i23 = _closed_forms(2.0 / 3.0)[1]
+        assert abs(i23) <= 1e-12
 
 
 class TestBzTotal:
@@ -89,24 +92,29 @@ class TestBzTotal:
 
 
 class TestShannonComponents:
+    """The closed forms return one Hy = Hz value; Hy = Hz is checked on the
+    generic measure along y and along z."""
+
     def test_half_efficiency_maximum_along_x(self):
-        hx, _, _ = shannon_components(EfficiencyModel(0.5))
+        hx = _closed_forms(0.5)[3]
         assert hx == pytest.approx(1.0, abs=1e-15)
 
     def test_two_thirds_maximum_along_y(self):
-        _, hy, hz = shannon_components(EfficiencyModel(2.0 / 3.0))
-        assert hy == pytest.approx(LOG2_3, abs=1e-12)
-        assert hz == hy
+        hyz = _closed_forms(2.0 / 3.0)[4]
+        _, py, pz = outcome_probabilities(EfficiencyModel(2.0 / 3.0))
+        assert hyz == pytest.approx(LOG2_3, abs=1e-12)
+        assert shannon(pz) == shannon(py)
 
     def test_vanishing_efficiency_kills_all_uncertainty(self):
-        for value in shannon_components(EfficiencyModel(1e-6)):
+        for value in _closed_forms(1e-6)[3:]:
             assert value < 3e-5
 
     def test_offset_identity(self):
         for eta in np.linspace(0.0, 1.0, 101):
-            hx, hy, hz = shannon_components(EfficiencyModel(float(eta)))
-            assert hy == hz
-            assert hy == pytest.approx(hx + eta, abs=1e-12)
+            _, _, _, hx, hyz = _closed_forms(float(eta))
+            _, py, pz = outcome_probabilities(EfficiencyModel(float(eta)))
+            assert shannon(py) == shannon(pz)
+            assert hyz == pytest.approx(hx + eta, abs=1e-12)
 
 
 class TestThresholds:
@@ -142,7 +150,9 @@ class TestThresholds:
 
 class TestIdealMode:
     def test_ideal_components(self):
-        assert ideal_bz_components() == (1.0, 0.0, 0.0)
+        # the two-outcome informations along x, y, z that ideal_bz_total sums
+        components = bz_elementary(1.0, 0.0), bz_elementary(0.5, 0.5), bz_elementary(0.5, 0.5)
+        assert components == (1.0, 0.0, 0.0)
 
     def test_headline_discontinuity(self):
         # switching from the 3-outcome model at eta = 1 to ideal 2-outcome

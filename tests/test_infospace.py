@@ -36,7 +36,6 @@ from infolab.states import (
     density_from_bloch,
     named_state,
     random_directions,
-    random_pure_state,
     random_qubit_state,
     random_triad,
 )
@@ -460,7 +459,7 @@ class TestConservation:
     def test_pure_state_stays_at_one(self):
         times = np.linspace(0.0, 10.0, 50)
         report = conservation_check(
-            random_pure_state(3), random_hamiltonian(4), CANONICAL_TRIAD, times
+            random_qubit_state(3, pure=True), random_hamiltonian(4), CANONICAL_TRIAD, times
         )
         np.testing.assert_allclose(report.i_total_values, 1.0, atol=1e-12)
         assert report.max_drift < 1e-12

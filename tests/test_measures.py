@@ -5,15 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolab.measures import (
-    MeasureResult,
-    binomial_uncertainty,
-    bz_elementary,
-    bz_measure,
-    evaluate_measure,
-    normalization_factor,
-    shannon,
-)
+import infolab.cli as cli
+from infolab.measures import bz_elementary, bz_measure, normalization_factor, shannon
 
 LOG2_3 = math.log2(3.0)
 
@@ -123,40 +116,31 @@ class TestBzElementary:
         assert abs(bz_elementary(*pair) - bz_measure(pair)) <= 1e-14
 
 
-class TestBinomialUncertainty:
-    @pytest.mark.parametrize("p, expected", [(0.0, 0.0), (0.5, 0.25), (0.75, 3.0 / 16.0)])
-    def test_anchors(self, p, expected):
-        assert binomial_uncertainty(p) == pytest.approx(expected, abs=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_uncertainty(-0.1)
-        with pytest.raises(ValueError):
-            binomial_uncertainty(1.1)
-        with pytest.raises(ValueError):
-            binomial_uncertainty(math.nan)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=200, deadline=None)
-    def test_peak_at_half(self, p):
-        assert binomial_uncertainty(p) <= 0.25 + 1e-15
+def measure(capsys, *argv):
+    # 17 decimals print a float in [1/16, 10) exactly, so values compare as before
+    code = cli.parse_and_dispatch(["--precision", "17", "measure", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestMeasureResult:
-    def test_evaluate_shannon(self):
-        result = evaluate_measure("shannon", (0.5, 0.5))
-        assert result == MeasureResult(value=1.0, measure_kind="shannon", n=2, k=1.0)
+    """``infolab measure`` reports a value with its outcome count n and the
+    capacity k = log2 n, and refuses a value outside [0, k]."""
 
-    def test_evaluate_bz(self):
-        result = evaluate_measure("bz", (0.5, 0.3, 0.2))
-        assert result.n == 3 and result.k == pytest.approx(LOG2_3)
-        assert result.value == pytest.approx(bz_measure((0.5, 0.3, 0.2)))
+    def test_evaluate_shannon(self, capsys):
+        assert measure(capsys, "shannon", "--probs", "0.5,0.5") == (0, "1.0\n", "n=2 k=1.0\n")
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            evaluate_measure("renyi", (0.5, 0.5))
+    def test_evaluate_bz(self, capsys):
+        code, out, err = measure(capsys, "bz", "--probs", "0.5,0.3,0.2")
+        n, k = (field.split("=")[1] for field in err.split())
+        assert code == 0 and int(n) == 3 and float(k) == pytest.approx(LOG2_3)
+        assert float(out) == pytest.approx(bz_measure((0.5, 0.3, 0.2)))
 
-    def test_value_above_capacity_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            MeasureResult(value=1.5, measure_kind="bz", n=2, k=1.0)
+    def test_unknown_kind(self, capsys):
+        code, out, err = measure(capsys, "renyi", "--probs", "0.5,0.5")
+        assert code == 2 and out == "" and "kind" in err
 
+    def test_value_above_capacity_rejected(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "shannon", lambda dist: 1.5)
+        code, out, err = measure(capsys, "shannon", "--probs", "0.5,0.5")
+        assert code == 1 and out == "" and err == "error: shannon value 1.5 outside [0, 1.0]\n"

@@ -18,14 +18,12 @@ from infolab.states import (
     X_DIR,
     Y_DIR,
     Z_DIR,
-    bloch_from_density,
     born_probabilities,
     density_from_bloch,
     named_state,
     random_bloch_vectors,
     random_direction,
     random_directions,
-    random_pure_state,
     random_qubit_state,
     random_triad,
 )
@@ -186,7 +184,7 @@ class TestBlochConversions:
         ],
     )
     def test_bloch_from_density_anchors(self, rho, expected):
-        np.testing.assert_allclose(bloch_from_density(rho), expected, atol=1e-12)
+        np.testing.assert_allclose(QubitState(rho).bloch, expected, atol=1e-12)
 
     @pytest.mark.parametrize(
         "r, expected_rho",
@@ -277,7 +275,7 @@ class TestDirectionsAndTriads:
 
 class TestRandomSampling:
     def test_deterministic_for_fixed_seed(self):
-        a, b = random_pure_state(7), random_pure_state(7)
+        a, b = random_qubit_state(7, pure=True), random_qubit_state(7, pure=True)
         np.testing.assert_array_equal(a.rho, b.rho)
         ta, tb = random_triad(7), random_triad(7)
         np.testing.assert_array_equal(ta.matrix, tb.matrix)
@@ -288,7 +286,7 @@ class TestRandomSampling:
 
     def test_pure_states_are_pure(self):
         for seed in range(50):
-            assert abs(random_pure_state(seed).purity - 1.0) <= 1e-12
+            assert abs(random_qubit_state(seed, pure=True).purity - 1.0) <= 1e-12
             assert abs(np.linalg.norm(random_direction(seed).vec) - 1.0) <= 1e-12
             pure = random_qubit_state(seed, pure=True).bloch
             assert abs(np.linalg.norm(pure) - 1.0) <= 1e-12
