@@ -149,7 +149,7 @@ def _parse_triad(text: str) -> MeasurementTriad:
     if len(parts) != 3:
         raise UsageError("triad must be three colon-separated vectors, e.g. 1,0,0:0,1,0:0,0,1")
     try:
-        return MeasurementTriad(*(_parse_direction(part, "triad direction") for part in parts))
+        return MeasurementTriad([_parse_direction(part, "triad direction").vec for part in parts])
     except ValueError as err:
         raise UsageError(str(err))
 

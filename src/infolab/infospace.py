@@ -22,7 +22,7 @@ only by floating-point error.  It has two independent routes:
 
 * single-time ``evolve`` conjugates the density matrix by the SU(2) element
   ``_su2`` (exp(-i H t) less its global phase, which cancels),
-  and ``info_vector`` reads the Born probabilities along each triad direction
+  and ``info_vector`` reads the Born probabilities along each triad row
   (never ``triad.matrix @ r``, which is how the second route projects);
 * ``info_trajectory`` rotates the Bloch vector for all times at once and
   projects the rows onto the triad, validating the whole array once; it is
@@ -166,15 +166,15 @@ def _check_info_rows(vectors):
 def info_vector(state, triad: MeasurementTriad) -> InfoVector:
     """Information vector of a state relative to a triad.
 
-    Component m is p+ - p- along direction m, which equals the dot product
-    of direction m with the Bloch vector.  It is read from the Born
-    probabilities, not computed as ``triad.matrix @ r``, so that it stays an
-    independent check of ``info_trajectory``, which projects that way.
+    Component m is p+ - p- along row m of ``triad.matrix``, the row's dot
+    product with the Bloch vector.  It is read from the Born probabilities,
+    not computed as ``triad.matrix @ r``, so that it stays an independent
+    check of ``info_trajectory``, which projects that way.
     """
     r = as_qubit_state(state).bloch
     comps = []
-    for direction in triad.directions:
-        up, down = _born_pair(r, direction.vec)
+    for row in triad.matrix:
+        up, down = _born_pair(r, row)
         comps.append(up - down)
     return InfoVector(*comps)
 
@@ -197,6 +197,9 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     Entry (i, j) is cos I + sin [k]x + (1 - cos) k k^T, summed in that order
     on Python floats: numpy's elementwise form, signed zeros included.
     """
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     kx, ky, kz = k = as_direction(axis).vec.tolist()
     cross = ((0.0, -kz, ky), (kz, 0.0, -kx), (-ky, kx, 0.0))
     c, s = float(np.cos(angle)), float(np.sin(angle))
@@ -221,6 +224,11 @@ def _su2(axis, half_angle: float) -> np.ndarray:
     return np.cos(half_angle) * IDENTITY2 - 1j * np.sin(half_angle) * axis_sigma
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+
+
 def _check_angle(half_angle: float) -> None:
     """Refuse an evolution whose Bloch rotation angle 2|a|t, twice the SU(2)
     half-angle |a|t, is not finite: both routes evolve by that angle."""
@@ -235,8 +243,7 @@ def evolve(state, h: Hamiltonian, t: float) -> QubitState:
     the global phase e^{-i a0 t}, which cancels in U rho U+, so U leaves it
     out and a0 t may overflow harmlessly.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    _check_time(t)
     a = h.pauli_decomposition()[1]
     norm = math.sqrt(a.dot(a))  # as np.linalg.norm
     half_angle = norm * float(t)
@@ -254,6 +261,7 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     result drifts off the physical manifold as dt grows, which exact
     evolution never does.  See demos/precession_conservation.py.
     """
+    _check_time(t)
     if steps < 1:
         raise ValueError("need at least one step")
     rho = np.array(as_qubit_state(state).rho)

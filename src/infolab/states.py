@@ -12,13 +12,12 @@ Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 rejects non-finite input.  Each value is checked once, on the Python scalars
 of one ``.tolist()``, because numpy calls on 3-element arrays cost more than
 the arithmetic: ``_check_bloch`` takes one vector's three floats (or the
-rows of a trajectory array); a triad checks each row's unit norm, then the
-Gram matrix, then the determinant, and ``from_matrix`` does not check its
-rows a second time as ``Direction`` values; ``_born_pair`` applies
-``ProbDist``'s rules to one pair of Born probabilities without building one.
-``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored once, in
-closed forms bit-identical to the einsum and determinant they replace.  The
-seeded samplers at the end are the ones the
+rows of a trajectory array); a triad is only its 3x3 matrix, and checks each
+row's unit norm, then the Gram matrix, then the determinant; ``_born_pair``
+applies ``ProbDist``'s rules to one pair of Born probabilities without
+building one.  ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are
+stored once, in closed forms bit-identical to the einsum and determinant
+they replace.  The seeded samplers at the end are the ones the
 ``verify`` checks and the test suite draw from: the batch samplers
 ``random_directions`` and ``random_bloch_vectors`` return (n, 3) arrays, and
 ``random_direction`` and ``random_qubit_state`` wrap them to return one
@@ -61,7 +60,7 @@ class ProbDist:
         probs = np.array(self.probs, dtype=float).reshape(-1)
         if probs.size < 2:
             raise ValueError(f"need at least 2 outcomes, got {probs.size}")
-        _check_probs(probs.tolist(), float(probs.sum()))
+        _check_probs(probs.tolist(), probs.sum)
         object.__setattr__(self, "probs", _frozen(probs))
 
     @property
@@ -72,10 +71,12 @@ class ProbDist:
         return iter(self.probs)
 
 
-def _check_probs(probs: list, total: float) -> None:
-    """ProbDist's rules on Python floats: each in [0, 1] and their sum 1, within ATOL."""
+def _check_probs(probs: list, total) -> None:
+    """ProbDist's rules on Python floats: each in [0, 1], then their sum
+    ``total()`` 1, within ATOL; summing only in-range entries cannot overflow."""
     if any(p < -ATOL or p > 1.0 + ATOL for p in probs):
         raise ValueError(f"probabilities outside [0, 1]: {probs}")
+    total = float(total())
     if not abs(total - 1.0) <= ATOL:  # also rejects NaN entries
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
@@ -185,13 +186,6 @@ class Direction:
         object.__setattr__(self, "vec", _frozen(vec))
 
     @classmethod
-    def _of_checked(cls, vec: np.ndarray) -> "Direction":
-        """Wrap a read-only vector that already passed ``_check_unit``, without a second check."""
-        direction = object.__new__(cls)
-        object.__setattr__(direction, "vec", vec)
-        return direction
-
-    @classmethod
     def normalized(cls, values) -> "Direction":
         """Build a Direction by rescaling an arbitrary nonzero 3-vector."""
         vec = np.asarray(values, dtype=float).reshape(-1)
@@ -225,40 +219,23 @@ Z_DIR = Direction((0.0, 0.0, 1.0))
 
 @dataclass(frozen=True, eq=False)
 class MeasurementTriad:
-    """Right-handed set of three mutually orthogonal directions, the rows of ``matrix``."""
+    """Right-handed orthonormal directions, the rows of a read-only 3x3 copy ``matrix``."""
 
-    n1: Direction
-    n2: Direction
-    n3: Direction
-    matrix: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray
 
     def __post_init__(self):
-        directions = [as_direction(n) for n in (self.n1, self.n2, self.n3)]
-        for name, direction in zip(("n1", "n2", "n3"), directions):
-            object.__setattr__(self, name, direction)
-        rows = [d.vec.tolist() for d in directions]
+        matrix = np.array(self.matrix, dtype=float, order="C")
+        if matrix.shape != (3, 3):
+            raise ValueError(f"triad matrix must be 3x3, got {matrix.shape}")
+        rows = matrix.tolist()
+        for row in rows:  # Direction's rule on each row
+            _check_unit(row)
         _check_triad(rows)
-        object.__setattr__(self, "matrix", _frozen(np.array(rows)))
-
-    @property
-    def directions(self) -> tuple[Direction, Direction, Direction]:
-        return (self.n1, self.n2, self.n3)
+        object.__setattr__(self, "matrix", _frozen(matrix))
 
     @classmethod
     def from_matrix(cls, rows) -> "MeasurementTriad":
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape != (3, 3):
-            raise ValueError(f"triad matrix must be 3x3, got {rows.shape}")
-        matrix = _frozen(rows.copy())
-        floats = matrix.tolist()
-        for row in floats:  # Direction's rule on each row, once
-            _check_unit(row)
-        _check_triad(floats)
-        triad = object.__new__(cls)  # checked: skip __post_init__
-        for name, vec in zip(("n1", "n2", "n3"), matrix):
-            object.__setattr__(triad, name, Direction._of_checked(vec))
-        object.__setattr__(triad, "matrix", matrix)
-        return triad
+        return cls(rows)
 
 
 def _check_triad(rows: list) -> None:
@@ -275,7 +252,7 @@ def _check_triad(rows: list) -> None:
         raise ValueError(f"triad is not right-handed (det = {det!r})")
 
 
-CANONICAL_TRIAD = MeasurementTriad(X_DIR, Y_DIR, Z_DIR)
+CANONICAL_TRIAD = MeasurementTriad(np.eye(3))  # rows X_DIR, Y_DIR, Z_DIR
 
 
 def density_from_bloch(r) -> QubitState:
@@ -301,7 +278,7 @@ def _born_pair(r: np.ndarray, d: np.ndarray) -> list[float]:
     ProbDist's rules without building one."""
     overlap = float(d.dot(r))  # np.dot, not _dot: BLAS may fuse the multiply-adds
     probs = [0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)]
-    _check_probs(probs, probs[0] + probs[1])
+    _check_probs(probs, lambda: probs[0] + probs[1])
     return probs
 
 
@@ -358,7 +335,7 @@ def random_triad(seed=None) -> MeasurementTriad:
     q = q * np.sign(np.diagonal(r))
     if _dot(q[0].tolist(), _cross(*q[1:].tolist())) < 0.0:  # det(q)
         q[2, :] = -q[2, :]
-    return MeasurementTriad.from_matrix(q)
+    return MeasurementTriad(q)
 
 
 _NAMED_BLOCH = {

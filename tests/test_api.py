@@ -2,7 +2,8 @@
 
 The perfbench self-tests are slow and outside the default test run, so this
 parses the benchmark's workloads and self-tests and every demo with ``ast``
-and checks that each ``infolab`` attribute they reference still resolves.
+and checks that each ``infolab`` attribute they reference still resolves,
+then runs one seeded block of each benchmark workload's ops and checks.
 """
 
 import ast
@@ -10,6 +11,8 @@ import importlib
 import importlib.util
 import types
 from pathlib import Path
+
+import numpy as np
 
 import infolab
 
@@ -99,3 +102,15 @@ def test_benchmark_and_demos_reference_live_names():
         "infolab.EfficiencyModel",
         "infolab.efficiency.K_THREE",
     } <= seen
+
+
+def test_benchmark_ops_pass_their_invariant_checks(monkeypatch, tmp_path):
+    # the known max_i_corr shortfall shows as "accuracy" failures on entangle, not here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans, workloads = (importlib.import_module(name) for name in ("spans", "workloads"))
+    tracer = spans.Tracer()  # disabled: calls go straight through
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class(tmp_path)
+        for kind, inputs in workload.make_block(np.random.default_rng(14)):
+            failures = workload.check(kind, inputs, workload.run(tracer, kind, inputs))
+            assert [f for f in failures if f[0] == workloads.INVARIANT] == [], (name, kind)

@@ -224,6 +224,8 @@ class TestMalformedEvolve:
                 "evolve", "--state", "0,0,1", "--hamiltonian", "1e200,0,0",
                 "--t", "1", "--report-conservation", "--times", "0:1:0.5",
             ),
+            ("measure", "shannon", "--probs", "1e308,1e308"),  # the sum would overflow
+            ("measure", "shannon", "--probs", "inf,-inf"),
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -76,9 +76,9 @@ class TestInfoVector:
         for _ in range(300):
             state, triad = random_qubit_state(rng), random_triad(rng)
             iv = info_vector(state, triad)
-            for comp, d in zip((iv.i1, iv.i2, iv.i3), triad.directions):
+            for comp, d in zip((iv.i1, iv.i2, iv.i3), triad.matrix):
                 probs = born_probabilities(state, d).probs
-                overlap = np.dot(d.vec, state.bloch)
+                overlap = np.dot(d, state.bloch)
                 assert comp == probs[0] - probs[1] == 0.5 * (1.0 + overlap) - 0.5 * (1.0 - overlap)
 
     def test_component_validation(self):
@@ -258,6 +258,7 @@ class TestNonFiniteInput:
             (lambda comps: InfoVector(*comps), [0.1, -0.2, 0.3]),
             (QubitState, np.eye(2, dtype=complex) / 2.0),
             (TwoQubitState, np.eye(4, dtype=complex) / 4.0),
+            (MeasurementTriad, np.eye(3)),
         ],
     )
     @settings(max_examples=30, deadline=None)
@@ -267,6 +268,17 @@ class TestNonFiniteInput:
         values.flat[index % values.size] = bad
         with pytest.raises(ValueError):
             build(values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_angle_and_time_refused(self, bad):
+        with pytest.raises(ValueError, match=f"rotation angle must be finite, got {bad!r}"):
+            rotation_matrix(Z_DIR, bad)
+        with pytest.raises(ValueError, match=f"rotation angle must be finite, got {bad!r}"):
+            rotate_triad(CANONICAL_TRIAD, Z_DIR, bad)
+        h = random_hamiltonian(2)
+        with pytest.raises(ValueError, match=f"time must be finite, got {bad!r}"):
+            evolve_euler(named_state("plus-x"), h, bad, 3)
 
     @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0])
     def test_hamiltonian_rejects_hbar(self, hbar):
@@ -405,11 +417,10 @@ class TestSinglePassRejections:
     )
     @pytest.mark.parametrize("build", ["from_matrix", "directions"])
     def test_triad(self, build, rows, message):
+        # one constructor: the matrix, or the list of its direction rows as the CLI passes it
         rows = np.asarray(rows)
-        if build == "directions" and rows.shape != (3, 3):
-            rows, message = [rows[0][:2], *rows], "direction must have 3 components, got (2,)"
         with pytest.raises(ValueError) as err:
-            MeasurementTriad.from_matrix(rows) if build == "from_matrix" else MeasurementTriad(*rows)
+            MeasurementTriad.from_matrix(rows) if build == "from_matrix" else MeasurementTriad(list(rows))
         assert str(err.value) == message
 
     @pytest.mark.parametrize(

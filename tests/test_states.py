@@ -54,6 +54,13 @@ class TestProbDist:
     def test_tolerates_float_noise(self):
         ProbDist((0.1 + 1e-14, 0.9 - 1e-14))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("probs", [(1e308, 1e308), (np.inf, -np.inf)])
+    def test_huge_entries_are_an_error_not_a_warning(self, probs):
+        # the entries are range-checked before they are summed, so the sum cannot overflow
+        with pytest.raises(ValueError, match="outside"):
+            ProbDist(probs)
+
     def test_immutable(self):
         dist = ProbDist((0.5, 0.5))
         with pytest.raises(ValueError):
@@ -154,8 +161,9 @@ class TestClosedForms:
         assert np.array(_cross(p, q)).tobytes() == np.cross(p, q).tobytes()
 
     def test_stored_arrays_are_read_only(self):
-        triad = random_triad(11)
-        assert triad.matrix.tobytes() == np.stack([d.vec for d in triad.directions]).tobytes()
+        rows = random_triad(11).matrix.copy()
+        triad = MeasurementTriad(rows)
+        assert triad.matrix.tobytes() == rows.tobytes() and rows.flags.writeable  # frozen copy
         state = random_qubit_state(11)
         _, a = Hamiltonian.from_pauli_coefficients((0.3, -0.2, 0.5)).pauli_decomposition()
         for arr in (triad.matrix, state.rho, state.bloch, a):
@@ -258,14 +266,15 @@ class TestDirectionsAndTriads:
     def test_triad_rejects_non_orthogonal(self):
         d = Direction.normalized((1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="orthogonal"):
-            MeasurementTriad(X_DIR, d, Z_DIR)
+            MeasurementTriad([X_DIR.vec, d.vec, Z_DIR.vec])
 
     def test_triad_rejects_left_handed(self):
         with pytest.raises(ValueError, match="right-handed"):
-            MeasurementTriad(Y_DIR, X_DIR, Z_DIR)
+            MeasurementTriad([Y_DIR.vec, X_DIR.vec, Z_DIR.vec])
 
     def test_canonical_triad_matrix(self):
-        np.testing.assert_allclose(CANONICAL_TRIAD.matrix, np.eye(3))
+        rows = np.stack([X_DIR.vec, Y_DIR.vec, Z_DIR.vec])
+        assert CANONICAL_TRIAD.matrix.tobytes() == rows.tobytes() == np.eye(3).tobytes()
 
     def test_hand_typed_slack(self):
         # orthonormality tolerance is looser (1e-10) than the algebraic 1e-12
@@ -320,7 +329,7 @@ class TestRandomSampling:
         assert np.linalg.norm(mean) < 0.05
 
     def test_triads_are_valid_and_cover_orientations(self):
-        z_components = [random_triad(seed).n1.vec[2] for seed in range(200)]
+        z_components = [random_triad(seed).matrix[0, 2] for seed in range(200)]
         assert min(z_components) < -0.5 and max(z_components) > 0.5
 
 
