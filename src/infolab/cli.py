@@ -32,6 +32,7 @@ global takes effect on the next call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -79,6 +80,15 @@ class UsageError(Exception):
     """Bad invocation: unknown command or malformed user input (exit 2)."""
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError raised by validating user input as a UsageError (exit 2)."""
+    try:
+        yield
+    except ValueError as err:
+        raise UsageError(str(err))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse errors through our exit scheme
         raise UsageError(message)
@@ -103,20 +113,15 @@ def _parse_floats(text: str, count: int | None, what: str) -> np.ndarray:
 
 
 def _parse_state(text: str) -> QubitState:
-    if "," not in text:
-        try:
+    with _usage_errors():
+        if "," not in text:
             return named_state(text)
-        except ValueError as err:
-            raise UsageError(str(err))
-    try:
         return density_from_bloch(_parse_floats(text, 3, "state"))
-    except ValueError as err:
-        raise UsageError(str(err))
 
 
 def _parse_two_qubit_state(text: str) -> TwoQubitState:
     kind, _, rest = text.partition(":")
-    try:
+    with _usage_errors():
         if kind == "bell":
             return bell_state(rest)
         if kind == "werner":
@@ -130,28 +135,22 @@ def _parse_two_qubit_state(text: str) -> TwoQubitState:
             if not sep:
                 raise UsageError("product state needs two parts: product:S1;S2")
             return product_state(_parse_state(first), _parse_state(second))
-    except ValueError as err:
-        raise UsageError(str(err))
     raise UsageError(
         f"unknown two-qubit state {text!r} (use bell:KIND, werner:W or product:S1;S2)"
     )
 
 
 def _parse_direction(text: str, what: str) -> Direction:
-    try:
+    with _usage_errors():
         return Direction.normalized(_parse_floats(text, 3, what))
-    except ValueError as err:
-        raise UsageError(str(err))
 
 
 def _parse_triad(text: str) -> MeasurementTriad:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError("triad must be three colon-separated vectors, e.g. 1,0,0:0,1,0:0,0,1")
-    try:
+    with _usage_errors():
         return MeasurementTriad([_parse_direction(part, "triad direction").vec for part in parts])
-    except ValueError as err:
-        raise UsageError(str(err))
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -199,10 +198,8 @@ def _csv(header, columns) -> str:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    try:
+    with _usage_errors():
         dist = ProbDist(_parse_floats(args.probs, None, "probabilities"))
-    except ValueError as err:
-        raise UsageError(str(err))
     value = (shannon if args.kind == "shannon" else bz_measure)(dist)
     k = math.log2(dist.n)
     if not 0.0 <= value <= k + 1e-12:  # a wrong result, not a usage error: exit 1
@@ -223,12 +220,8 @@ def _cmd_info_vector(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
-    try:
-        h = Hamiltonian.from_pauli_coefficients(
-            _parse_floats(args.hamiltonian, 3, "hamiltonian")
-        )
-    except ValueError as err:
-        raise UsageError(str(err))
+    with _usage_errors():
+        h = Hamiltonian.from_pauli_coefficients(_parse_floats(args.hamiltonian, 3, "hamiltonian"))
     triad = _parse_triad(args.triad) if args.triad else CANONICAL_TRIAD
     if not np.isfinite(args.t):
         raise UsageError(f"--t must be finite, got {args.t!r}")
@@ -253,10 +246,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _sweep_or_usage(eta_min: float, eta_max: float, steps: int) -> eff.SweepTable:
     if steps > MAX_GRID_POINTS:
         raise UsageError(f"--steps {steps} gives more than {MAX_GRID_POINTS} points")
-    try:
+    with _usage_errors():
         table = eff.ratio_sweep(eta_min, eta_max, steps)
-    except ValueError as err:
-        raise UsageError(str(err))
     table.validate()  # never emit a CSV that violates its own row identities
     return table
 

@@ -60,6 +60,7 @@ from .states import (
     _dot,
     _frozen,
     _pauli_vector,
+    _real_array,
     as_direction,
     as_qubit_state,
 )
@@ -106,7 +107,7 @@ class Hamiltonian:
     @classmethod
     def from_pauli_coefficients(cls, coeffs) -> "Hamiltonian":
         """Build h . sigma from a real 3-vector h."""
-        h = np.asarray(coeffs, dtype=float).reshape(-1)
+        h = _real_array(coeffs).reshape(-1)
         if h.shape != (3,):
             raise ValueError(f"need 3 Pauli coefficients, got {h.shape}")
         return cls(np.einsum("k,kij->ij", h, PAULIS))
@@ -171,12 +172,9 @@ def info_vector(state, triad: MeasurementTriad) -> InfoVector:
     not computed as ``triad.matrix @ r``, so that it stays an independent
     check of ``info_trajectory``, which projects that way.
     """
-    r = as_qubit_state(state).bloch
-    comps = []
-    for row in triad.matrix:
-        up, down = _born_pair(r, row)
-        comps.append(up - down)
-    return InfoVector(*comps)
+    r, m = as_qubit_state(state).bloch, triad.matrix
+    (u1, d1), (u2, d2), (u3, d3) = _born_pair(r, m[0]), _born_pair(r, m[1]), _born_pair(r, m[2])
+    return InfoVector(u1 - d1, u2 - d2, u3 - d3)
 
 
 def total_information(iv: InfoVector) -> float:
@@ -259,7 +257,8 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
 
     Returns the raw (unvalidated) final matrix: the whole point is that the
     result drifts off the physical manifold as dt grows, which exact
-    evolution never does.  See demos/precession_conservation.py.
+    evolution never does.  See demos/precession_conservation.py.  Steps that
+    overflow are refused.
     """
     _check_time(t)
     if steps < 1:
@@ -267,8 +266,11 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     rho = np.array(as_qubit_state(state).rho)
     dt = t / steps
     hm = h.matrix
-    for _ in range(steps):
-        rho = rho - (1j * dt) * (hm @ rho - rho @ hm)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        for _ in range(steps):
+            rho = rho - (1j * dt) * (hm @ rho - rho @ hm)
+    if not np.isfinite(rho).all():
+        raise ValueError(f"Euler steps overflow: dt = {dt!r} is too large for this Hamiltonian")
     return rho
 
 

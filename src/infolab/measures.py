@@ -1,15 +1,15 @@
-"""Two competing scalar information measures over discrete distributions.
+"""Two competing information measures over discrete distributions, in bits.
 
-Shannon entropy H(p) = -sum_i p_i log2 p_i and the quadratic
-Brukner-Zeilinger (BZ) measure I(p) = N sum_i (p_i - 1/n)^2, where the
-normalization N = n log2(n) / (n - 1) stretches the maximum of I to
-k = log2 n bits.  Everything is in bits (log base 2); 0 log 0 = 0 by
-continuity.
+Shannon entropy H(p) = -sum_i p_i log2 p_i (0 log 0 = 0 by continuity) and
+the quadratic Brukner-Zeilinger (BZ) measure I(p) = N sum_i (p_i - 1/n)^2,
+where N = n log2(n) / (n - 1) stretches the maximum of I to k = log2 n bits.
+Each is one private kernel over the rows of a (..., n) array that passed
+``ProbDist``'s rules, called by the scalar API and by ``verify``;
+``bz_elementary`` and ``efficiency._closed_forms`` are the independent forms.
 
-For an outcome count that is a power of two, n = 2^k, N reduces to
-2^k k / (2^k - 1); the n log2(n) / (n - 1) form extends that consistently
-to every n >= 2 (the n = 3 case, N = 3 log2(3) / 2, is what the
-detector-efficiency analysis uses).
+For n = 2^k outcomes N reduces to 2^k k / (2^k - 1); the n log2(n) / (n - 1)
+form extends that to every n >= 2 (the n = 3 case, N = 3 log2(3) / 2, is
+what the detector-efficiency analysis uses).
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ import numpy as np
 from .states import as_probdist
 
 
+def _shannon_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a (..., n) array of distributions."""
+    terms = probs * np.log2(np.where(probs > 0.0, probs, 1.0))  # 0 log 0 = 0, unwarned
+    terms.sort(axis=-1)  # terms are sorted before summing so reorderings give bit-identical results
+    return 0.0 - terms.sum(axis=-1)  # never -0.0
+
+
 def shannon(p) -> float:
     """Shannon entropy of a distribution, in bits (0 log 0 = 0)."""
-    probs = as_probdist(p).probs
-    positive = probs[probs > 0.0]
-    # terms are sorted before summing so reorderings give bit-identical results
-    value = -float(np.sum(np.sort(positive * np.log2(positive))))
-    return abs(value) if value == 0.0 else value  # avoid returning -0.0
+    return float(_shannon_rows(as_probdist(p).probs))
 
 
 def normalization_factor(n: int) -> float:
@@ -37,16 +40,21 @@ def normalization_factor(n: int) -> float:
     return n * math.log2(n) / (n - 1)
 
 
+def _bz_rows(probs: np.ndarray) -> np.ndarray:
+    """Quadratic BZ information of each row of a (..., n) array of distributions."""
+    deviations = probs - 1.0 / probs.shape[-1]
+    squares = deviations * deviations
+    squares.sort(axis=-1)  # sorted before summing: exact permutation invariance
+    return normalization_factor(probs.shape[-1]) * squares.sum(axis=-1)
+
+
 def bz_measure(p) -> float:
     """Quadratic BZ information I(p) = N sum_i (p_i - 1/n)^2, in bits.
 
     Ranges over [0, log2 n]: 0 exactly for the uniform distribution and
     log2 n exactly when one outcome is certain.
     """
-    dist = as_probdist(p)
-    deviations = dist.probs - 1.0 / dist.n
-    # sorted before summing: exact permutation invariance
-    return normalization_factor(dist.n) * float(np.sum(np.sort(deviations * deviations)))
+    return float(_bz_rows(as_probdist(p).probs))
 
 
 def bz_elementary(p1: float, p2: float) -> float:

@@ -9,10 +9,11 @@ Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
 Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 (``_check_bloch``); two-qubit positivity uses eigenvalues.  Every value type
-rejects non-finite input.  Each value is checked once, on the Python scalars
-of one ``.tolist()``, because numpy calls on 3-element arrays cost more than
-the arithmetic: ``_check_bloch`` takes one vector's three floats (or the
-rows of a trajectory array); a triad is only its 3x3 matrix, and checks each
+rejects non-finite input; the real-valued ones also refuse complex input
+(``_real_array``).  Each value is checked once, on the Python scalars of one
+``.tolist()``, because numpy calls on 3-element arrays cost more than the
+arithmetic: ``_check_bloch`` takes one vector's three floats (or the rows of
+a trajectory array); a triad is only its 3x3 matrix, and checks each
 row's unit norm, then the Gram matrix, then the determinant; ``_born_pair``
 applies ``ProbDist``'s rules to one pair of Born probabilities without
 building one.  ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are
@@ -34,6 +35,7 @@ import numpy as np
 
 ATOL = 1e-12
 TRIAD_ATOL = 1e-10
+_FLOAT64 = np.dtype(float)
 
 PAULIS = np.array(  # sigma_x, sigma_y, sigma_z
     [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
@@ -47,6 +49,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _real_array(values) -> np.ndarray:
+    """``np.array(values, dtype=float)`` as a new C-ordered array, for real input
+    only: complex or non-numeric input, which that cast would silently make
+    real or parse, is a ValueError naming its dtype."""
+    arr = np.array(values, order="C")
+    if arr.dtype is not _FLOAT64:  # native float64 input, the usual case, costs one test
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"expected real numbers, got {arr.dtype} input")
+        arr = arr.astype(float)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ProbDist:
     """Validated discrete probability distribution over n >= 2 outcomes.
@@ -57,7 +71,7 @@ class ProbDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float).reshape(-1)
+        probs = _real_array(self.probs).reshape(-1)
         if probs.size < 2:
             raise ValueError(f"need at least 2 outcomes, got {probs.size}")
         _check_probs(probs.tolist(), probs.sum)
@@ -79,6 +93,15 @@ def _check_probs(probs: list, total) -> None:
     total = float(total())
     if not abs(total - 1.0) <= ATOL:  # also rejects NaN entries
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
+
+
+def _check_prob_rows(rows: np.ndarray) -> None:
+    """``_check_probs`` on each row of a (k, n) array, in array passes."""
+    bad = ((rows < -ATOL) | (rows > 1.0 + ATOL)).any(axis=1)
+    if not bad.any():  # in-range rows cannot overflow; each sum has row.sum()'s bits
+        bad = ~(np.abs(rows.sum(axis=1) - 1.0) <= ATOL)
+    for row in rows[bad][:1]:  # the first failing row raises ProbDist's message
+        _check_probs(row.tolist(), row.sum)
 
 
 def as_probdist(p) -> ProbDist:
@@ -179,7 +202,7 @@ class Direction:
     vec: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.vec, dtype=float).reshape(-1)
+        vec = _real_array(self.vec).reshape(-1)
         if vec.shape != (3,):
             raise ValueError(f"direction must have 3 components, got {vec.shape}")
         _check_unit(vec.tolist())
@@ -188,7 +211,7 @@ class Direction:
     @classmethod
     def normalized(cls, values) -> "Direction":
         """Build a Direction by rescaling an arbitrary nonzero 3-vector."""
-        vec = np.asarray(values, dtype=float).reshape(-1)
+        vec = _real_array(values).reshape(-1)
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(vec))
         if norm in (0.0, np.inf):  # the squares may have under- or overflowed
@@ -224,7 +247,7 @@ class MeasurementTriad:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float, order="C")
+        matrix = _real_array(self.matrix)
         if matrix.shape != (3, 3):
             raise ValueError(f"triad matrix must be 3x3, got {matrix.shape}")
         rows = matrix.tolist()
@@ -257,7 +280,7 @@ CANONICAL_TRIAD = MeasurementTriad(np.eye(3))  # rows X_DIR, Y_DIR, Z_DIR
 
 def density_from_bloch(r) -> QubitState:
     """Qubit state (I + r . sigma) / 2 for a Bloch vector inside the unit ball."""
-    r = np.asarray(r, dtype=float).reshape(-1)
+    r = _real_array(r).reshape(-1)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
     r = r.tolist()

@@ -114,7 +114,7 @@ def test_criterion_4_bz_anchors_and_bounds():
         assert bz_measure((0.5, 0.5)) == 0.0
         check_measure_bounds(np.random.default_rng(4))
 
-    _criterion("criterion-4-bz-anchors-and-bounds", 2.0, body)
+    _criterion("criterion-4-bz-anchors-and-bounds", 0.5, body)
 
 
 def test_criterion_5_conservation():

@@ -322,6 +322,46 @@ class TestNonFiniteInput:
         np.testing.assert_allclose(evolved, row, rtol=0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+class TestRealInputOnly:
+    """Every float cast of outside input refuses complex or non-numeric input,
+    which ``dtype=float`` would cast with at most a warning."""
+
+    @pytest.mark.parametrize(
+        "build, values, dtype",
+        [
+            (ProbDist, np.array([0.5 + 1j, 0.5]), "complex128"),
+            (ProbDist, ("0.5", "0.5"), "<U3"),
+            (Direction, np.array([1 + 1j, 0, 0]), "complex128"),
+            (Direction, (1j, 0, 0), "complex128"),
+            (Direction.normalized, np.array([1 + 1j, 0, 0]), "complex128"),
+            (MeasurementTriad, np.eye(3) + 1j, "complex128"),
+            (density_from_bloch, np.array([0.1j, 0.0, 0.0]), "complex128"),
+            (Hamiltonian.from_pauli_coefficients, (0.3, 0.2j, 0.1), "complex128"),
+            (Direction, (None, 0, 0), "object"),
+        ],
+    )
+    def test_refused_naming_the_type(self, build, values, dtype):
+        with pytest.raises(ValueError) as err:
+            build(values)
+        assert str(err.value) == f"expected real numbers, got {dtype} input"
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0, 0, 1), [0.0, 0.6, 0.8], np.array([True, False, False]), np.array([0.0, -1.0, 0.0], dtype=np.float32)],
+    )
+    def test_real_input_keeps_its_bits(self, values):
+        expected = np.array(values, dtype=float)
+        for build in (Direction, Direction.normalized):
+            assert build(values).vec.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
+        assert density_from_bloch(values).bloch.tobytes() == expected.tobytes()
+
+    def test_euler_overflow_is_an_error_not_a_warning(self):
+        h = Hamiltonian.from_pauli_coefficients((0.3, 0.2, 0.1))
+        with pytest.raises(ValueError, match="Euler steps overflow"):
+            evolve_euler(named_state("plus-x"), h, 1e200, 3)
+
+
 def _born_route(state, h, triad, times):
     """Independent oracle: ``evolve`` on rho, then Born probabilities per time."""
     return np.array([info_vector(evolve(state, h, t), triad).as_array() for t in times])

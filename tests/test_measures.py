@@ -2,11 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import infolab.cli as cli
-from infolab.measures import bz_elementary, bz_measure, normalization_factor, shannon
+from infolab.measures import (
+    _bz_rows,
+    _shannon_rows,
+    bz_elementary,
+    bz_measure,
+    normalization_factor,
+    shannon,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -114,6 +122,52 @@ class TestBzElementary:
     def test_agrees_with_general_measure(self, p1):
         pair = (p1, 1.0 - p1)
         assert abs(bz_elementary(*pair) - bz_measure(pair)) <= 1e-14
+
+
+def _rows_with_zeros(seed, n, k=200):
+    """k distributions over n outcomes; every other row has some entries zeroed."""
+    rng = np.random.default_rng([seed, n])
+    rows = rng.dirichlet(np.ones(n), size=k)
+    for row in rows[::2]:
+        row[rng.permutation(n)[: rng.integers(1, n)]] = 0.0
+        row /= row.sum()
+    return rows
+
+
+def _shannon_of_positive_entries(probs):
+    """Shannon entropy summed over the positive entries only."""
+    positive = probs[probs > 0.0]
+    value = -float(np.sum(np.sort(positive * np.log2(positive))))
+    return abs(value) if value == 0.0 else value
+
+
+class TestKernels:
+    """Each measure is one kernel over the rows of an array; the scalar API
+    validates one distribution and calls it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 9, 16])
+    def test_stack_equals_scalar_route_bit_for_bit(self, n):
+        rows = _rows_with_zeros(1, n)
+        for kernel, scalar in ((_shannon_rows, shannon), (_bz_rows, bz_measure)):
+            expected = np.array([scalar(row) for row in rows])
+            assert kernel(rows).tobytes() == expected.tobytes()
+            # any leading shape: a (2, k/2, n) stack gives the same bits
+            assert kernel(rows.reshape(2, -1, n)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_agrees_with_the_elementwise_forms(self, n):
+        for row in _rows_with_zeros(2, n):
+            squares = (row - 1.0 / n) * (row - 1.0 / n)
+            assert bz_measure(row) == normalization_factor(n) * float(np.sum(np.sort(squares)))
+            reference, value = _shannon_of_positive_entries(row), shannon(row)
+            if n < 8 or np.all(row > 0.0):
+                assert value == reference
+            else:  # the kernel also sums the zero terms, which can regroup the sum
+                assert abs(value - reference) <= 4 * np.spacing(max(abs(reference), abs(value)))
+
+    def test_zero_sum_is_positive_zero(self):
+        values = _shannon_rows(np.eye(4))
+        assert np.all(values == 0.0) and not np.signbit(values).any()
 
 
 def measure(capsys, *argv):

@@ -27,7 +27,7 @@ from infolab.states import (
     random_qubit_state,
     random_triad,
 )
-from infolab.states import _cross
+from infolab.states import _check_prob_rows, _cross
 
 PLUS_X_RHO = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 PLUS_Y_RHO = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
@@ -60,6 +60,17 @@ class TestProbDist:
         # the entries are range-checked before they are summed, so the sum cannot overflow
         with pytest.raises(ValueError, match="outside"):
             ProbDist(probs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [[0.7, 0.7], [-0.1, 1.1], [np.nan, 0.5], [1e308, 1e308], [0.5, 0.5 + 2e-12]])
+    def test_block_check_gives_probdists_message(self, bad):
+        rows = np.array([[0.25, 0.75], [0.5, 0.5], bad, [0.7, 0.7], [1.0, 0.0]])
+        with pytest.raises(ValueError) as expected:
+            ProbDist(bad)
+        with pytest.raises(ValueError) as err:
+            _check_prob_rows(rows)
+        assert str(err.value) == str(expected.value)
+        _check_prob_rows(np.delete(rows, [2, 3], axis=0))  # the valid rows pass
 
     def test_immutable(self):
         dist = ProbDist((0.5, 0.5))

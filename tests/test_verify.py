@@ -1,5 +1,8 @@
 """Tests for the invariant-suite runner and its CLI wiring."""
 
+import numpy as np
+import pytest
+
 import infolab.cli as cli
 import infolab.verify as verify
 from infolab.measures import bz_measure, shannon
@@ -36,6 +39,15 @@ def test_find_ordering_witness_margins():
     assert shannon(p) < shannon(q) - 1e-6
     assert bz_measure(p) < bz_measure(q) - 1e-6
     assert abs(sum(p) - 1.0) <= 1e-9 and abs(sum(q) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("kernel, name", [("_shannon_rows", "shannon"), ("_bz_rows", "bz")])
+@pytest.mark.parametrize("excess, shown", [(1.0, "2.0"), (np.nan, "nan")])
+def test_measure_bounds_names_the_worst_value(monkeypatch, kernel, name, excess, shown):
+    # a kernel one bit above capacity (or NaN) on every row fails at the first n, 2
+    monkeypatch.setattr(verify, kernel, lambda rows: np.full(len(rows), np.log2(rows.shape[-1]) + excess))
+    with pytest.raises(AssertionError, match=rf"^{name} {shown} out of range, n=2$"):
+        verify.check_measure_bounds(np.random.default_rng(0))
 
 
 class TestVerifyCommand:
