@@ -232,8 +232,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
     if args.times is None:
         raise UsageError("--report-conservation requires --times start:stop:step")
-    times = _parse_times(args.times)
-    vectors, totals = _trajectory(state, h, triad, times)
+    times, vectors, totals = _trajectory(state, h, triad, _parse_times(args.times))
     report = ConservationReport(times, totals)
     columns = (report.times, *vectors.T, report.i_total_values)
     _write_text(args.out, _csv(("t", "i1", "i2", "i3", "I_total"), columns))

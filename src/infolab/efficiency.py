@@ -37,7 +37,7 @@ row's outcome distributions and returns the worst gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,20 +119,10 @@ class SweepTable:
     hy: np.ndarray
     hz: np.ndarray
 
-    HEADER = ("eta", "I1", "I2", "I3", "I_total", "ratio", "Hx", "Hy", "Hz")
+    HEADER = ("eta", "I1", "I2", "I3", "I_total", "ratio", "Hx", "Hy", "Hz")  # the fields' order
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.eta,
-            self.i1,
-            self.i2,
-            self.i3,
-            self.i_total,
-            self.ratio,
-            self.hx,
-            self.hy,
-            self.hz,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def __len__(self) -> int:
         return self.eta.size

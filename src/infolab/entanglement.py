@@ -29,6 +29,7 @@ from .states import (
     QubitState,
     _check_density,
     _frozen,
+    _square_rows,
     as_direction,
     as_qubit_state,
 )
@@ -47,10 +48,8 @@ class TwoQubitState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-        _check_density(rho.tolist())
+        rho, rows = _square_rows(self.rho, 4, "density matrix")
+        _check_density(rows)
         if float(np.min(np.linalg.eigvalsh(rho))) < -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "rho", _frozen(rho))

@@ -29,11 +29,12 @@ only by floating-point error.  It has two independent routes:
   what ``conservation_check`` and ``infolab evolve`` use.
 
 The tests hold the second route to the first.  A fixed-step Euler commutator
-integrator is included purely to demonstrate drift versus step size; it is
-not used by anything else.  Both routes share one unit-ball bound on the
-Bloch radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
-InfoVector bounds (``_check_info_rows``) and one guard on the rotation angle
-2|a|t (``_check_angle``).  Each value is checked once, on Python scalars:
+integrator is included purely to demonstrate drift versus step size; it is not
+used by anything else.  Both routes share one unit-ball bound on the Bloch
+radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
+InfoVector bounds (``_check_info_rows``), one guard on the rotation angle
+2|a|t (``_check_angle``) and one reader of a time or an angle
+(``states._finite_real``).  Each value is checked once, on Python scalars:
 ``InfoVector`` checks its three floats, ``Hamiltonian`` the entries of one
 ``.tolist()`` before storing its Pauli coefficients (a0, a) in closed form,
 and ``conservation_check`` reports the totals the row check computed.
@@ -58,9 +59,11 @@ from .states import (
     _check_hermitian,
     _cross,
     _dot,
+    _finite_real,
     _frozen,
     _pauli_vector,
     _real_array,
+    _square_rows,
     as_direction,
     as_qubit_state,
 )
@@ -91,10 +94,7 @@ class Hamiltonian:
     _pauli: tuple[float, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"Hamiltonian must be 2x2, got {mat.shape}")
-        rows = mat.tolist()
+        mat, rows = _square_rows(self.matrix, 2, "Hamiltonian")
         _check_hermitian(rows, "Hamiltonian")
         # Python floats: finite entries can overflow a0 or |a|^2 to inf, without a warning
         a0 = (0.0 + (rows[0][0] + rows[1][1]).real) / 2.0
@@ -125,8 +125,8 @@ class ConservationReport:
     i_total_values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.i_total_values, dtype=float)
+        times = _real_array(self.times)
+        values = _real_array(self.i_total_values)
         if times.shape != values.shape:
             raise ValueError("times and values must have matching lengths")
         if values.size == 0:
@@ -195,9 +195,7 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     Entry (i, j) is cos I + sin [k]x + (1 - cos) k k^T, summed in that order
     on Python floats: numpy's elementwise form, signed zeros included.
     """
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle!r}")
+    angle = _finite_real(angle, "rotation angle")
     kx, ky, kz = k = as_direction(axis).vec.tolist()
     cross = ((0.0, -kz, ky), (kz, 0.0, -kx), (-ky, kx, 0.0))
     c, s = float(np.cos(angle)), float(np.sin(angle))
@@ -222,11 +220,6 @@ def _su2(axis, half_angle: float) -> np.ndarray:
     return np.cos(half_angle) * IDENTITY2 - 1j * np.sin(half_angle) * axis_sigma
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-
-
 def _check_angle(half_angle: float) -> None:
     """Refuse an evolution whose Bloch rotation angle 2|a|t, twice the SU(2)
     half-angle |a|t, is not finite: both routes evolve by that angle."""
@@ -241,10 +234,10 @@ def evolve(state, h: Hamiltonian, t: float) -> QubitState:
     the global phase e^{-i a0 t}, which cancels in U rho U+, so U leaves it
     out and a0 t may overflow harmlessly.
     """
-    _check_time(t)
+    t = _finite_real(t, "time")
     a = h.pauli_decomposition()[1]
     norm = math.sqrt(a.dot(a))  # as np.linalg.norm
-    half_angle = norm * float(t)
+    half_angle = norm * t
     _check_angle(half_angle)
     u = IDENTITY2 if norm == 0.0 else _su2(a / norm, half_angle)
     rho = as_qubit_state(state).rho
@@ -260,7 +253,7 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     evolution never does.  See demos/precession_conservation.py.  Steps that
     overflow are refused.
     """
-    _check_time(t)
+    t = _finite_real(t, "time")
     if steps < 1:
         raise ValueError("need at least one step")
     rho = np.array(as_qubit_state(state).rho)
@@ -288,12 +281,12 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     vector must pass QubitState's unit-ball check; every row must satisfy the
     InfoVector bounds.  The comparisons are written so that NaN fails them.
     """
-    return _trajectory(state, h, triad, times)[0]
+    return _trajectory(state, h, triad, times)[1]
 
 
-def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[np.ndarray, np.ndarray]:
-    """``info_trajectory``'s rows and their totals, which its InfoVector check computes."""
-    times = np.asarray(times, dtype=float).reshape(-1)
+def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[np.ndarray, ...]:
+    """The checked times, ``info_trajectory``'s rows, and the totals its InfoVector check computes."""
+    times = _real_array(times).reshape(-1)
     if times.size == 0:
         raise ValueError("need at least one time point")
     if not np.isfinite(times).all():
@@ -319,7 +312,7 @@ def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[
         )
     _check_bloch(bloch)
     vectors = bloch @ triad.matrix.T
-    return vectors, _check_info_rows(vectors)
+    return times, vectors, _check_info_rows(vectors)
 
 
 def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) -> ConservationReport:
@@ -328,5 +321,5 @@ def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) ->
     Drift is measured against the value at the first listed time; for exact
     evolution it stays at floating-point noise.
     """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    return ConservationReport(times=times, i_total_values=_trajectory(state, h, triad, times)[1])
+    times, _, totals = _trajectory(state, h, triad, times)
+    return ConservationReport(times=times, i_total_values=totals)

@@ -8,21 +8,21 @@ to share across threads.
 Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
 measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
 Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
-(``_check_bloch``); two-qubit positivity uses eigenvalues.  Every value type
-rejects non-finite input; the real-valued ones also refuse complex input
-(``_real_array``).  Each value is checked once, on the Python scalars of one
-``.tolist()``, because numpy calls on 3-element arrays cost more than the
-arithmetic: ``_check_bloch`` takes one vector's three floats (or the rows of
-a trajectory array); a triad is only its 3x3 matrix, and checks each
-row's unit norm, then the Gram matrix, then the determinant; ``_born_pair``
-applies ``ProbDist``'s rules to one pair of Born probabilities without
-building one.  ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are
-stored once, in closed forms bit-identical to the einsum and determinant
-they replace.  The seeded samplers at the end are the ones the
-``verify`` checks and the test suite draw from: the batch samplers
-``random_directions`` and ``random_bloch_vectors`` return (n, 3) arrays, and
-``random_direction`` and ``random_qubit_state`` wrap them to return one
-validated value (``pure=True`` draws from the sphere's surface).
+(``_check_bloch``); two-qubit positivity uses eigenvalues.  Outside numbers
+have one reader, ``_real_array``: every value type refuses strings and
+non-finite input, the real-valued ones complex input too.  Each value is
+checked once, on the Python scalars of one ``.tolist()``, because numpy calls
+on 3-element arrays cost more than the arithmetic: ``_check_bloch`` takes one
+vector's three floats (or the rows of a trajectory array); a triad is only its
+3x3 matrix, and checks each row's unit norm, then the Gram matrix, then the
+determinant; ``_born_pair`` applies ``ProbDist``'s rules to one pair of Born
+probabilities without building one.  ``QubitState.bloch`` and
+``MeasurementTriad.matrix`` are stored once, in closed forms bit-identical to
+the einsum and determinant they replace.  The seeded samplers at the end are
+the ones the ``verify`` checks and the test suite draw from: the batch
+samplers ``random_directions`` and ``random_bloch_vectors`` return (n, 3)
+arrays, and ``random_direction`` and ``random_qubit_state`` wrap them to
+return one validated value (``pure=True`` draws from the sphere's surface).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 ATOL = 1e-12
 TRIAD_ATOL = 1e-10
 _FLOAT64 = np.dtype(float)
+_COMPLEX128 = np.dtype(complex)
 
 PAULIS = np.array(  # sigma_x, sigma_y, sigma_z
     [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
@@ -49,16 +50,36 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _real_array(values) -> np.ndarray:
-    """``np.array(values, dtype=float)`` as a new C-ordered array, for real input
-    only: complex or non-numeric input, which that cast would silently make
-    real or parse, is a ValueError naming its dtype."""
+def _real_array(values, dtype=_FLOAT64) -> np.ndarray:
+    """``np.array(values, dtype=dtype)`` as a new C-ordered array; input that this cast would
+    make real (complex to float) or parse (strings, objects) is a ValueError naming its dtype."""
     arr = np.array(values, order="C")
-    if arr.dtype is not _FLOAT64:  # native float64 input, the usual case, costs one test
-        if arr.dtype.kind not in "biuf":
-            raise ValueError(f"expected real numbers, got {arr.dtype} input")
-        arr = arr.astype(float)
+    if arr.dtype is not dtype:  # native input of the target type, the usual case, costs one test
+        if not np.can_cast(arr.dtype, dtype, casting="same_kind"):
+            kind = "real" if dtype is _FLOAT64 else "complex"
+            raise ValueError(f"expected {kind} numbers, got {arr.dtype} input")
+        arr = arr.astype(dtype)
     return arr
+
+
+def _square_rows(values, n: int, what: str) -> tuple[np.ndarray, list]:
+    """An n x n complex matrix read by ``_real_array``, and its rows as Python complex numbers."""
+    mat = _real_array(values, _COMPLEX128)
+    if mat.shape != (n, n):
+        raise ValueError(f"{what} must be {n}x{n}, got shape {mat.shape}")
+    return mat, mat.tolist()
+
+
+def _finite_real(value, what: str) -> float:
+    """One finite real number as a Python float, read as ``_real_array`` reads an array."""
+    if not isinstance(value, float):  # a Python float, the usual case, needs no array
+        value = _real_array(value)
+        if value.shape != ():
+            raise ValueError(f"{what} must be a single number, got shape {value.shape}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +139,7 @@ class QubitState:
     bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-        rows = rho.tolist()
+        rho, rows = _square_rows(self.rho, 2, "density matrix")
         _check_density(rows)
         bloch = _pauli_vector(rows)
         _check_bloch(bloch)

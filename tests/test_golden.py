@@ -1,7 +1,7 @@
 """Golden outputs: the command line's bytes, compared against fixtures.
 
-``tests/data/golden/`` holds the exact output of ``infolab verify`` at seed
-42, the default ``efficiency sweep`` CSV, the four ``efficiency figures``
+``tests/data/golden/`` holds the exact output of ``infolab verify`` at seeds
+42 and 7, the default ``efficiency sweep`` CSV, the four ``efficiency figures``
 files, the README's ``evolve --report-conservation`` CSV and the stdout of
 each script in ``demos/``.  A refactor leaves every byte unchanged.  A change
 that alters a fixture on purpose must name each changed line and the reason
@@ -38,6 +38,10 @@ def test_verify_seed_42(monkeypatch, capsys, seed_42_results):
     monkeypatch.setattr(cli, "run_all", lambda seed: seeds.append(seed) or seed_42_results)
     _assert_golden(_stdout(capsys, "--seed", "42", "verify"), "verify_seed42.txt")
     assert seeds == [42]
+
+
+def test_verify_seed_7(capsys):
+    _assert_golden(_stdout(capsys, "--seed", "7", "verify"), "verify_seed7.txt")
 
 
 def test_default_sweep(capsys):

@@ -322,10 +322,46 @@ class TestNonFiniteInput:
         np.testing.assert_allclose(evolved, row, rtol=0, atol=1e-12)
 
 
+_H = Hamiltonian.from_pauli_coefficients((0.3, -1.1, 0.7))
+
+
+def trajectory_times(times):
+    return info_trajectory(named_state("plus-x"), _H, CANONICAL_TRIAD, times)
+
+
+def conservation_times(times):
+    return conservation_check(named_state("plus-x"), _H, CANONICAL_TRIAD, times)
+
+
+def report_times(times):
+    return ConservationReport(times, np.ones(2))
+
+
+def report_values(values):
+    return ConservationReport(np.arange(2.0), values)
+
+
+def evolve_time(t):
+    return evolve(named_state("plus-x"), _H, t)
+
+
+def euler_time(t):
+    return evolve_euler(named_state("plus-x"), _H, t, 3)
+
+
+def rotation_angle(angle):
+    return rotation_matrix(Z_DIR, angle)
+
+
+def triad_angle(angle):
+    return rotate_triad(CANONICAL_TRIAD, Z_DIR, angle)
+
+
 @pytest.mark.filterwarnings("error")
 class TestRealInputOnly:
-    """Every float cast of outside input refuses complex or non-numeric input,
-    which ``dtype=float`` would cast with at most a warning."""
+    """Every cast of outside input refuses what numpy would have to make real
+    (complex input to a real type) or parse (strings, objects): ``dtype=float``
+    or ``dtype=complex`` would cast it with at most a warning."""
 
     @pytest.mark.parametrize(
         "build, values, dtype",
@@ -339,12 +375,42 @@ class TestRealInputOnly:
             (density_from_bloch, np.array([0.1j, 0.0, 0.0]), "complex128"),
             (Hamiltonian.from_pauli_coefficients, (0.3, 0.2j, 0.1), "complex128"),
             (Direction, (None, 0, 0), "object"),
+            (trajectory_times, np.array([0.0, 1.0 + 1j]), "complex128"),
+            (trajectory_times, ["0", "1"], "<U1"),
+            (conservation_times, np.array([0.0, 1.0 + 1j]), "complex128"),
+            (conservation_times, ["0", "1"], "<U1"),
+            (report_times, np.array([0.0, 1j]), "complex128"),
+            (report_times, ["0", "1"], "<U1"),
+            (report_values, np.array([1.0, 1.0 + 1j]), "complex128"),
+            (evolve_time, 1j, "complex128"),
+            (evolve_time, "0.5", "<U3"),
+            (euler_time, 1j, "complex128"),
+            (euler_time, "0.5", "<U3"),
+            (rotation_angle, 1j, "complex128"),
+            (rotation_angle, "0.5", "<U3"),
+            (triad_angle, 1j, "complex128"),
+            (triad_angle, "0.5", "<U3"),
+            (QubitState, [["0.5", "0"], ["0", "0.5"]], "<U3"),
+            (TwoQubitState, (np.eye(4) / 4).astype(str), "<U32"),
+            (Hamiltonian, [["1", "0"], ["0", "-1"]], "<U2"),
+            (QubitState, [[0.5, None], [None, 0.5]], "object"),
         ],
     )
     def test_refused_naming_the_type(self, build, values, dtype):
+        kind = "complex" if build in (QubitState, TwoQubitState, Hamiltonian) else "real"
         with pytest.raises(ValueError) as err:
             build(values)
-        assert str(err.value) == f"expected real numbers, got {dtype} input"
+        assert str(err.value) == f"expected {kind} numbers, got {dtype} input"
+
+    @pytest.mark.parametrize(
+        "build, value, what",
+        [(evolve_time, [0.5, 1.0], "time"), (euler_time, np.array([0.5]), "time"),
+         (rotation_angle, np.zeros((1, 1)), "rotation angle"), (triad_angle, [], "rotation angle")],
+    )
+    def test_scalar_refused_naming_its_shape(self, build, value, what):
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert str(err.value) == f"{what} must be a single number, got shape {np.shape(value)}"
 
     @pytest.mark.parametrize(
         "values",
@@ -355,6 +421,23 @@ class TestRealInputOnly:
         for build in (Direction, Direction.normalized):
             assert build(values).vec.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
         assert density_from_bloch(values).bloch.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "build, values",
+        [
+            (QubitState, np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])),
+            (QubitState, np.array([[0.6, -0.0], [-0.0, 0.4]])),
+            (TwoQubitState, np.kron(density_from_bloch((0.3, -0.2, 0.4)).rho, named_state("plus-y").rho)),
+            (TwoQubitState, np.diag([0.1, 0.2, 0.3, 0.4]) - 0.0),
+            (Hamiltonian, np.array([[0.3, -1.1 + 0.7j], [-1.1 - 0.7j, -0.3]])),
+            (Hamiltonian, np.array([[-0.0, 1.5], [1.5, 2.0]])),
+        ],
+    )
+    def test_complex_valued_input_keeps_its_bits(self, build, values):
+        stored = build(values)
+        stored = stored.matrix if build is Hamiltonian else stored.rho
+        assert stored.dtype == np.complex128
+        assert stored.tobytes() == np.array(values, dtype=complex).tobytes()
 
     def test_euler_overflow_is_an_error_not_a_warning(self):
         h = Hamiltonian.from_pauli_coefficients((0.3, 0.2, 0.1))
