@@ -42,20 +42,22 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .measures import bz_elementary, bz_measure, normalization_factor, shannon
-from .states import ProbDist
+from .states import ProbDist, _finite_real, _integer
 
 K_THREE = math.log2(3.0)
 
 
 @dataclass(frozen=True)
 class EfficiencyModel:
-    """Overall detector efficiency, identical along all three directions."""
+    """Overall detector efficiency, identical along all three directions, as a Python float."""
 
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
+        eta = _finite_real(self.eta, "efficiency")
+        if not 0.0 <= eta <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.eta!r}")
+        object.__setattr__(self, "eta", eta)
 
 
 def outcome_probabilities(m: EfficiencyModel) -> tuple[ProbDist, ProbDist, ProbDist]:
@@ -171,10 +173,11 @@ class SweepTable:
 
 def ratio_sweep(eta_min: float, eta_max: float, steps: int) -> SweepTable:
     """Sweep the model over a uniform eta grid (endpoints included)."""
-    if not 0.0 <= eta_min < eta_max <= 1.0:
+    lo, hi = _finite_real(eta_min, "eta_min"), _finite_real(eta_max, "eta_max")
+    if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"need 0 <= eta_min < eta_max <= 1, got [{eta_min}, {eta_max}]")
-    if steps < 2:
+    if _integer(steps, "steps") < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    etas = np.linspace(eta_min, eta_max, steps)
+    etas = np.linspace(lo, hi, steps)
     i1, i23, total, hx, hyz = _closed_forms(etas)
     return SweepTable(etas, i1, i23, i23.copy(), total, total / K_THREE, hx, hyz, hyz.copy())

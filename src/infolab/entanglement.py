@@ -28,6 +28,7 @@ from .states import (
     Direction,
     QubitState,
     _check_density,
+    _finite_real,
     _frozen,
     _square_rows,
     as_direction,
@@ -84,9 +85,10 @@ def bell_state(kind: str) -> TwoQubitState:
 
 def werner_state(w: float) -> TwoQubitState:
     """Mixture w |psi-><psi-| + (1 - w)/4 I interpolating singlet and noise."""
-    if not 0.0 <= w <= 1.0:
+    weight = _finite_real(w, "Werner weight")
+    if not 0.0 <= weight <= 1.0:
         raise ValueError(f"Werner weight must lie in [0, 1], got {w!r}")
-    return TwoQubitState(w * bell_state("psi-").rho + (1.0 - w) / 4.0 * np.eye(4))
+    return TwoQubitState(weight * bell_state("psi-").rho + (1.0 - weight) / 4.0 * np.eye(4))
 
 
 def product_state(first, second) -> TwoQubitState:

@@ -61,6 +61,7 @@ from .states import (
     _dot,
     _finite_real,
     _frozen,
+    _integer,
     _pauli_vector,
     _real_array,
     _square_rows,
@@ -254,7 +255,7 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     overflow are refused.
     """
     t = _finite_real(t, "time")
-    if steps < 1:
+    if _integer(steps, "steps") < 1:
         raise ValueError("need at least one step")
     rho = np.array(as_qubit_state(state).rho)
     dt = t / steps

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .states import as_probdist
+from .states import _integer, as_probdist
 
 
 def _shannon_rows(probs: np.ndarray) -> np.ndarray:
@@ -35,9 +35,10 @@ def shannon(p) -> float:
 
 def normalization_factor(n: int) -> float:
     """BZ normalization N = n log2(n) / (n - 1) for n >= 2 outcomes."""
-    if n < 2:
+    count = _integer(n, "number of outcomes")
+    if count < 2:
         raise ValueError(f"need at least 2 outcomes, got {n}")
-    return n * math.log2(n) / (n - 1)
+    return count * math.log2(count) / (count - 1)
 
 
 def _bz_rows(probs: np.ndarray) -> np.ndarray:

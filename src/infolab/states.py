@@ -10,7 +10,8 @@ measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
 Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 (``_check_bloch``); two-qubit positivity uses eigenvalues.  Outside numbers
 have one reader, ``_real_array``: every value type refuses strings and
-non-finite input, the real-valued ones complex input too.  Each value is
+non-finite input, the real-valued ones complex input too.  Single numbers
+are read by ``_finite_real`` and counts by ``_integer``.  Each value is
 checked once, on the Python scalars of one ``.tolist()``, because numpy calls
 on 3-element arrays cost more than the arithmetic: ``_check_bloch`` takes one
 vector's three floats (or the rows of a trajectory array); a triad is only its
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +82,15 @@ def _finite_real(value, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return value
+
+
+def _integer(value, what: str) -> int:
+    """One integer as a Python int, read by ``operator.index``: what it refuses (floats,
+    strings, arrays with a dimension) is a ValueError naming the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +201,9 @@ def _dot(p, q) -> float:
 def _check_bloch(r) -> None:
     """Bloch vector r finite with |r| <= 1 + ATOL: qubit positivity in closed
     form, as (I + r . sigma) / 2 has eigenvalues (1 +- |r|) / 2.  ``r`` is one
-    vector as three Python floats, or a (..., 3) array checked row by row."""
+    vector as three Python floats, or a (..., 3) array checked row by row: the
+    rows of a trajectory, which rotates a checked vector by a finite angle, so
+    no entry is far above 1 and no square overflows; a NaN still fails the bound."""
     if not isinstance(r, np.ndarray):
         if not all(map(math.isfinite, r)):
             raise ValueError("Bloch vector has non-finite components")
@@ -198,13 +211,8 @@ def _check_bloch(r) -> None:
         # (x^2 + z^2) + y^2 is the order numpy's vectorised einsum sums a 3-vector in, so
         # this matches the array path; Python floats overflow to inf without a warning
         norm = math.sqrt(x * x + z * z + y * y)
-    elif np.abs(r).max() <= 1.0 + ATOL:  # false on NaN; if true, no square overflows
-        norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
-    elif not np.all(np.isfinite(r)):
-        raise ValueError("Bloch vector has non-finite components")
     else:
-        with np.errstate(over="ignore"):  # an overflowed |r|^2 is inf and fails the bound
-            norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
+        norm = float(np.sqrt(np.einsum("...i,...i->...", r, r).max()))
     if not norm <= 1.0 + ATOL:
         raise ValueError(f"Bloch vector norm {norm!r} outside the unit ball: negative eigenvalue")
 

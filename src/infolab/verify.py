@@ -84,24 +84,16 @@ def find_ordering_witness():
     grid = _simplex_grid()
     h, i = _shannon_rows(grid), _bz_rows(grid)
     order = np.argsort(h, kind="stable")
-    h_sorted, i_sorted = h[order], i[order]
-    # a witness pair exists iff some later (higher-H) point also has higher I
-    running_min = np.minimum.accumulate(i_sorted)
-    candidates = np.nonzero(
-        (i_sorted[1:] > running_min[:-1] + _WITNESS_MARGIN)
-        & (h_sorted[1:] > h_sorted[0] + _WITNESS_MARGIN)
-    )[0]
-    for pos in candidates:
-        j = pos + 1
-        earlier = np.nonzero(
-            (h_sorted[:j] < h_sorted[j] - _WITNESS_MARGIN)
-            & (i_sorted[:j] < i_sorted[j] - _WITNESS_MARGIN)
-        )[0]
-        if earlier.size:
-            p = grid[order[earlier[0]]]
-            q = grid[order[j]]
-            return tuple(p.tolist()), tuple(q.tolist())
-    return None
+    h, i = h[order], i[order]
+    # cut[j] counts the points with h < h[j] - margin; h is sorted, so they are h[:cut[j]]
+    cut = np.searchsorted(h, h - _WITNESS_MARGIN)
+    lowest = np.minimum.accumulate(i)[cut - 1]  # the least i among them, where cut > 0
+    found = np.flatnonzero((cut > 0) & (lowest < i - _WITNESS_MARGIN))
+    if not found.size:
+        return None
+    q = found[0]
+    p = np.argmax(i[: cut[q]] < i[q] - _WITNESS_MARGIN)  # the first of them below i[q]
+    return tuple(grid[order[p]].tolist()), tuple(grid[order[q]].tolist())
 
 
 def check_born_probability_bounds(rng) -> str:

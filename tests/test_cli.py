@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +65,20 @@ class TestUsageErrors:
     def test_bad_precision(self, capsys):
         code, _, err = run(capsys, "--precision", "0", "efficiency", "thresholds")
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("entangle", "check", "--state", "werner:1.5"), "Werner weight must lie in [0, 1], got 1.5"),
+            (("entangle", "check", "--state", "werner:nan"), "Werner weight must be finite, got nan"),
+            (("efficiency", "sweep", "--min", "-0.5"), "need 0 <= eta_min < eta_max <= 1, got [-0.5, 1.0]"),
+            (("efficiency", "sweep", "--min", "nan"), "eta_min must be finite, got nan"),
+            (("efficiency", "sweep", "--max", "inf"), "eta_max must be finite, got inf"),
+            (("efficiency", "sweep", "--steps", "1"), "need at least 2 steps, got 1"),
+        ],
+    )
+    def test_error_line_names_the_value(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestComputationErrors:
@@ -226,6 +242,13 @@ class TestMalformedEvolve:
             ),
             ("measure", "shannon", "--probs", "1e308,1e308"),  # the sum would overflow
             ("measure", "shannon", "--probs", "inf,-inf"),
+            ("qubit", "info-vector", "--state", "1,0"),
+            ("entangle", "check", "--state", "werner:abc"),
+            ("entangle", "check", "--state", "product:plus-x"),
+            ("qubit", "info-vector", "--state", "plus-z", "--triad", "1,0,0:0,1,0"),
+            (*REPORT, "0:1"),
+            (*REPORT, "a:b:c"),
+            (*REPORT, "1:0:0.1"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -474,3 +497,17 @@ class TestSeedResolution:
         code, out, err = run(capsys, *flag, "verify")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and source in err
+
+
+README = Path(__file__).parent.parent / "README.md"
+README_EXAMPLE = re.compile(r"^infolab (.+?)\s+# -> (.+)$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLE.findall(README.read_text()))
+def test_readme_example_prints_what_it_shows(capsys, command, expected):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0 and out.splitlines()[0] == expected
+
+
+def test_readme_shows_examples():
+    assert len(README_EXAMPLE.findall(README.read_text())) >= 6

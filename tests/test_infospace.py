@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolab.entanglement import TwoQubitState
+from infolab.efficiency import EfficiencyModel, ratio_sweep
+from infolab.entanglement import TwoQubitState, werner_state
 from infolab.infospace import (
     ConservationReport,
     Hamiltonian,
@@ -23,6 +24,7 @@ from infolab.infospace import (
     rotation_matrix,
     total_information,
 )
+from infolab.measures import normalization_factor
 from infolab.states import (
     CANONICAL_TRIAD,
     PAULIS,
@@ -349,6 +351,18 @@ def euler_time(t):
     return evolve_euler(named_state("plus-x"), _H, t, 3)
 
 
+def euler_steps(steps):
+    return evolve_euler(named_state("plus-x"), _H, 1.0, steps)
+
+
+def sweep_low(eta_min):
+    return ratio_sweep(eta_min, 1.0, 3)
+
+
+def sweep_steps(steps):
+    return ratio_sweep(0.0, 1.0, steps)
+
+
 def rotation_angle(angle):
     return rotation_matrix(Z_DIR, angle)
 
@@ -394,6 +408,10 @@ class TestRealInputOnly:
             (TwoQubitState, (np.eye(4) / 4).astype(str), "<U32"),
             (Hamiltonian, [["1", "0"], ["0", "-1"]], "<U2"),
             (QubitState, [[0.5, None], [None, 0.5]], "object"),
+            (werner_state, "0.5", "<U3"),
+            (werner_state, 0.5 + 0j, "complex128"),
+            (EfficiencyModel, "0.5", "<U3"),
+            (sweep_low, "0", "<U1"),
         ],
     )
     def test_refused_naming_the_type(self, build, values, dtype):
@@ -405,12 +423,41 @@ class TestRealInputOnly:
     @pytest.mark.parametrize(
         "build, value, what",
         [(evolve_time, [0.5, 1.0], "time"), (euler_time, np.array([0.5]), "time"),
-         (rotation_angle, np.zeros((1, 1)), "rotation angle"), (triad_angle, [], "rotation angle")],
+         (rotation_angle, np.zeros((1, 1)), "rotation angle"), (triad_angle, [], "rotation angle"),
+         (EfficiencyModel, np.array([0.5]), "efficiency"),
+         (werner_state, np.array([0.5]), "Werner weight")],
     )
     def test_scalar_refused_naming_its_shape(self, build, value, what):
         with pytest.raises(ValueError) as err:
             build(value)
         assert str(err.value) == f"{what} must be a single number, got shape {np.shape(value)}"
+
+    @pytest.mark.parametrize(
+        "build, value, what",
+        [(sweep_steps, 2.5, "steps"), (euler_steps, "3", "steps"),
+         (normalization_factor, 2.5, "number of outcomes")],
+    )
+    def test_count_refused_naming_the_value(self, build, value, what):
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert str(err.value) == f"{what} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "build, values, message",
+        [
+            (QubitState, np.eye(3) / 3, "density matrix must be 2x2, got shape (3, 3)"),
+            (TwoQubitState, np.eye(2) / 2, "density matrix must be 4x4, got shape (2, 2)"),
+            (Hamiltonian, np.eye(3), "Hamiltonian must be 2x2, got shape (3, 3)"),
+            (Direction, (1.0, 0.0), "direction must have 3 components, got (2,)"),
+            (density_from_bloch, (0.0, 0.0), "Bloch vector must have 3 components, got (2,)"),
+            (Hamiltonian.from_pauli_coefficients, (1.0, 2.0), "need 3 Pauli coefficients, got (2,)"),
+            (lambda empty: ConservationReport(empty, empty), [], "need at least one time point"),
+        ],
+    )
+    def test_wrong_shape_refused_with_its_message(self, build, values, message):
+        with pytest.raises(ValueError) as err:
+            build(values)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "values",

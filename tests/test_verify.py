@@ -1,5 +1,8 @@
 """Tests for the invariant-suite runner and its CLI wiring."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,34 @@ def test_find_ordering_witness_margins():
     assert shannon(p) < shannon(q) - 1e-6
     assert bz_measure(p) < bz_measure(q) - 1e-6
     assert abs(sum(p) - 1.0) <= 1e-9 and abs(sum(q) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05])
+def test_witness_is_the_first_pair_in_shannon_order(monkeypatch, step):
+    # pair by pair over a coarser grid: q is the first point in (stable) Shannon
+    # order with an earlier p below it in both measures, p the first such point
+    monkeypatch.setattr(verify, "_GRID_STEP", step)
+    grid = [tuple(row) for row in verify._simplex_grid().tolist()]
+    h, i = [shannon(p) for p in grid], [bz_measure(p) for p in grid]
+    ranked = sorted(range(len(grid)), key=h.__getitem__)
+    expected = next(
+        ((grid[k], grid[j]) for n, j in enumerate(ranked) for k in ranked[:n]
+         if h[k] < h[j] - 1e-6 and i[k] < i[j] - 1e-6),
+        None,
+    )
+    assert find_ordering_witness() == expected
+    assert (expected is None) == (step >= 0.25)  # the coarse grids hold no witness
+
+
+def test_readme_claims_map_names_real_checks_and_paragraphs():
+    root = Path(__file__).parent.parent
+    claims = (root / "README.md").read_text().split("## What the code shows of the paper")[1]
+    claims = claims.split("\n## ")[0]
+    checks = set(re.findall(r"`([a-z]+(?:-[a-z]+)+)`", claims))
+    assert checks and checks <= {name for name, _ in verify.ALL_CHECKS}
+    demo_text = "".join(p.read_text() for p in (root / "tests/data/golden").glob("demo_*.txt"))
+    paragraphs = re.findall(r'"([^"]+)"', claims)
+    assert paragraphs and all(paragraph in demo_text for paragraph in paragraphs)
 
 
 @pytest.mark.parametrize("kernel, name", [("_shannon_rows", "shannon"), ("_bz_rows", "bz")])
