@@ -66,6 +66,8 @@ from .states import (
     MeasurementTriad,
     ProbDist,
     QubitState,
+    _finite_real,
+    _integer,
     density_from_bloch,
     named_state,
 )
@@ -223,11 +225,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     with _usage_errors():
         h = Hamiltonian.from_pauli_coefficients(_parse_floats(args.hamiltonian, 3, "hamiltonian"))
     triad = _parse_triad(args.triad) if args.triad else CANONICAL_TRIAD
-    if not np.isfinite(args.t):
-        raise UsageError(f"--t must be finite, got {args.t!r}")
+    with _usage_errors():
+        t = _finite_real(args.t, "--t")
 
     if not args.report_conservation:
-        print(_fmt_vector(evolve(state, h, args.t).bloch, args.precision))
+        print(_fmt_vector(evolve(state, h, t).bloch, args.precision))
         return 0
 
     if args.times is None:
@@ -237,7 +239,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     columns = (report.times, *vectors.T, report.i_total_values)
     _write_text(args.out, _csv(("t", "i1", "i2", "i3", "I_total"), columns))
     if args.out is not None:
-        print(_fmt_vector(evolve(state, h, args.t).bloch, args.precision))
+        print(_fmt_vector(evolve(state, h, t).bloch, args.precision))
     print(f"max_drift={report.max_drift:.3e}", file=sys.stderr)
     return 0
 
@@ -441,15 +443,13 @@ def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         seed, source = flag_value, "--seed"
     elif env is not None:
-        try:
-            seed, source = int(env), "INFOLAB_SEED"
-        except ValueError:
-            raise UsageError(f"INFOLAB_SEED must be an integer, got {env!r}")
+        seed, source = env, "INFOLAB_SEED"
+        with contextlib.suppress(ValueError):  # text that is not an integer is refused as is
+            seed = int(env)
     else:
         return DEFAULT_SEED
-    if seed < 0:  # numpy's generators take non-negative seeds only
-        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    with _usage_errors():  # numpy's generators take non-negative seeds only
+        return _integer(seed, source, 0)
 
 
 def parse_and_dispatch(argv) -> int:
@@ -457,8 +457,8 @@ def parse_and_dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(_merge_value_flags(argv))
         args.seed = _resolve_seed(args.seed)
-        if args.precision < 1:
-            raise UsageError(f"precision must be >= 1, got {args.precision}")
+        with _usage_errors():
+            args.precision = _integer(args.precision, "--precision", 1)
         return args.handler(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

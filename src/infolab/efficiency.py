@@ -54,10 +54,7 @@ class EfficiencyModel:
     eta: float
 
     def __post_init__(self):
-        eta = _finite_real(self.eta, "efficiency")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.eta!r}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", _finite_real(self.eta, "efficiency", 0, 1))
 
 
 def outcome_probabilities(m: EfficiencyModel) -> tuple[ProbDist, ProbDist, ProbDist]:
@@ -173,11 +170,9 @@ class SweepTable:
 
 def ratio_sweep(eta_min: float, eta_max: float, steps: int) -> SweepTable:
     """Sweep the model over a uniform eta grid (endpoints included)."""
-    lo, hi = _finite_real(eta_min, "eta_min"), _finite_real(eta_max, "eta_max")
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= eta_min < eta_max <= 1, got [{eta_min}, {eta_max}]")
-    if _integer(steps, "steps") < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
-    etas = np.linspace(lo, hi, steps)
+    lo, hi = _finite_real(eta_min, "eta_min", 0, 1), _finite_real(eta_max, "eta_max", 0, 1)
+    if not lo < hi:
+        raise ValueError(f"need eta_min < eta_max, got [{lo!r}, {hi!r}]")
+    etas = np.linspace(lo, hi, _integer(steps, "steps", 2))
     i1, i23, total, hx, hyz = _closed_forms(etas)
     return SweepTable(etas, i1, i23, i23.copy(), total, total / K_THREE, hx, hyz, hyz.copy())

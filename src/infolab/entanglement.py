@@ -30,6 +30,7 @@ from .states import (
     _check_density,
     _finite_real,
     _frozen,
+    _integer,
     _square_rows,
     as_direction,
     as_qubit_state,
@@ -85,9 +86,7 @@ def bell_state(kind: str) -> TwoQubitState:
 
 def werner_state(w: float) -> TwoQubitState:
     """Mixture w |psi-><psi-| + (1 - w)/4 I interpolating singlet and noise."""
-    weight = _finite_real(w, "Werner weight")
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"Werner weight must lie in [0, 1], got {w!r}")
+    weight = _finite_real(w, "Werner weight", 0, 1)
     return TwoQubitState(weight * bell_state("psi-").rho + (1.0 - weight) / 4.0 * np.eye(4))
 
 
@@ -99,13 +98,8 @@ def product_state(first, second) -> TwoQubitState:
 def partial_trace(state, keep: int) -> QubitState:
     """Reduced state of qubit ``keep`` (0 or 1)."""
     rho = as_two_qubit_state(state).rho.reshape(2, 2, 2, 2)
-    if keep == 0:
-        reduced = np.einsum("abcb->ac", rho)
-    elif keep == 1:
-        reduced = np.einsum("abad->bd", rho)
-    else:
-        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
-    return QubitState(reduced)
+    pattern = "abad->bd" if _integer(keep, "keep", 0, 1) else "abcb->ac"
+    return QubitState(np.einsum(pattern, rho))
 
 
 def correlation(state, a, b) -> float:

@@ -120,7 +120,7 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class ConservationReport:
-    """Total information sampled along a trajectory."""
+    """Total information sampled along a trajectory: two finite arrays of one shape."""
 
     times: np.ndarray
     i_total_values: np.ndarray
@@ -132,6 +132,9 @@ class ConservationReport:
             raise ValueError("times and values must have matching lengths")
         if values.size == 0:
             raise ValueError("need at least one time point")
+        for what, arr in (("times", times), ("i_total_values", values)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{what} must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "i_total_values", values)
 
@@ -255,8 +258,7 @@ def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
     overflow are refused.
     """
     t = _finite_real(t, "time")
-    if _integer(steps, "steps") < 1:
-        raise ValueError("need at least one step")
+    steps = _integer(steps, "steps", 1)
     rho = np.array(as_qubit_state(state).rho)
     dt = t / steps
     hm = h.matrix

@@ -35,9 +35,7 @@ def shannon(p) -> float:
 
 def normalization_factor(n: int) -> float:
     """BZ normalization N = n log2(n) / (n - 1) for n >= 2 outcomes."""
-    count = _integer(n, "number of outcomes")
-    if count < 2:
-        raise ValueError(f"need at least 2 outcomes, got {n}")
+    count = _integer(n, "number of outcomes", 2)
     return count * math.log2(count) / (count - 1)
 
 

@@ -11,19 +11,20 @@ Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 (``_check_bloch``); two-qubit positivity uses eigenvalues.  Outside numbers
 have one reader, ``_real_array``: every value type refuses strings and
 non-finite input, the real-valued ones complex input too.  Single numbers
-are read by ``_finite_real`` and counts by ``_integer``.  Each value is
-checked once, on the Python scalars of one ``.tolist()``, because numpy calls
-on 3-element arrays cost more than the arithmetic: ``_check_bloch`` takes one
-vector's three floats (or the rows of a trajectory array); a triad is only its
-3x3 matrix, and checks each row's unit norm, then the Gram matrix, then the
-determinant; ``_born_pair`` applies ``ProbDist``'s rules to one pair of Born
-probabilities without building one.  ``QubitState.bloch`` and
-``MeasurementTriad.matrix`` are stored once, in closed forms bit-identical to
-the einsum and determinant they replace.  The seeded samplers at the end are
-the ones the ``verify`` checks and the test suite draw from: the batch
-samplers ``random_directions`` and ``random_bloch_vectors`` return (n, 3)
-arrays, and ``random_direction`` and ``random_qubit_state`` wrap them to
-return one validated value (``pure=True`` draws from the sphere's surface).
+are read by ``_finite_real`` and counts by ``_integer``, both within optional
+bounds (``_in_range``).  Each value is checked once, on the Python scalars of
+one ``.tolist()``, because numpy calls on 3-element arrays cost more than the
+arithmetic: ``_check_bloch`` takes one vector's three floats (or the rows of a
+trajectory array); a triad is only its 3x3 matrix, and checks each row's unit
+norm, then the Gram matrix, then the determinant; ``_born_pair`` applies
+``ProbDist``'s rules to one pair of Born probabilities without building one.
+``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored once, in
+closed forms bit-identical to the einsum and determinant they replace.  The
+seeded samplers at the end are the ones the ``verify`` checks and the test
+suite draw from: the batch samplers ``random_directions`` and
+``random_bloch_vectors`` return (n, 3) arrays, and ``random_direction`` and
+``random_qubit_state`` wrap them to return one validated value (``pure=True``
+draws from the sphere's surface).
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _square_rows(values, n: int, what: str) -> tuple[np.ndarray, list]:
     return mat, mat.tolist()
 
 
-def _finite_real(value, what: str) -> float:
-    """One finite real number as a Python float, read as ``_real_array`` reads an array."""
+def _finite_real(value, what: str, lo=None, hi=None) -> float:
+    """One finite real in [lo, hi] as a Python float, read as ``_real_array`` reads an array."""
     if not isinstance(value, float):  # a Python float, the usual case, needs no array
         value = _real_array(value)
         if value.shape != ():
@@ -81,16 +82,25 @@ def _finite_real(value, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
+    return _in_range(value, what, lo, hi)
 
 
-def _integer(value, what: str) -> int:
-    """One integer as a Python int, read by ``operator.index``: what it refuses (floats,
-    strings, arrays with a dimension) is a ValueError naming the value."""
+def _integer(value, what: str, lo=None, hi=None) -> int:
+    """One integer in [lo, hi] as a Python int, read by ``operator.index`` (no floats, no text)."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{what} must be an integer, got {shown!r}") from None
+    return _in_range(value, what, lo, hi)
+
+
+def _in_range(value, what: str, lo, hi):
+    """``value`` if in [lo, hi] (None: open), else the one ValueError naming range and value."""
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = f"be at least {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{what} must {span}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,7 +86,7 @@ def test_criterion_2_figure1():
             outside = eta < lo or eta > hi
             assert (ratio > 1.0) == outside, f"sign pattern broken at {eta}"
 
-    _criterion("criterion-2-figure1-reproduction", 1.0, body)
+    _criterion("criterion-2-figure1-reproduction", 0.1, body)
 
 
 def test_criterion_3_figure2():
@@ -105,7 +105,7 @@ def test_criterion_3_figure2():
         assert np.max(np.abs(hy - (hx + etas))) <= 1e-12
         assert np.max(np.abs(hy - hz)) <= 1e-12
 
-    _criterion("criterion-3-figure2-reproduction", 1.0, body)
+    _criterion("criterion-3-figure2-reproduction", 0.1, body)
 
 
 def test_criterion_4_bz_anchors_and_bounds():
@@ -114,14 +114,14 @@ def test_criterion_4_bz_anchors_and_bounds():
         assert bz_measure((0.5, 0.5)) == 0.0
         check_measure_bounds(np.random.default_rng(4))
 
-    _criterion("criterion-4-bz-anchors-and-bounds", 0.5, body)
+    _criterion("criterion-4-bz-anchors-and-bounds", 0.2, body)
 
 
 def test_criterion_5_conservation():
     def body():
         check_unitary_conservation(np.random.default_rng(5))
 
-    _criterion("criterion-5-conservation-suite", 1.0, body)
+    _criterion("criterion-5-conservation-suite", 0.2, body)
 
 
 def test_criterion_6_triad_rotation_invariance():
@@ -151,4 +151,4 @@ def test_criterion_8_ordering_witness():
         assert shannon(fp) < shannon(fq) - 1e-6
         assert bz_measure(fp) < bz_measure(fq) - 1e-6
 
-    _criterion("criterion-8-ordering-witness", 10.0, body)
+    _criterion("criterion-8-ordering-witness", 0.1, body)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import infolab.cli as cli
 from infolab.cli import _resolve_seed, parse_and_dispatch, reproduce_figures
@@ -71,10 +72,17 @@ class TestUsageErrors:
         [
             (("entangle", "check", "--state", "werner:1.5"), "Werner weight must lie in [0, 1], got 1.5"),
             (("entangle", "check", "--state", "werner:nan"), "Werner weight must be finite, got nan"),
-            (("efficiency", "sweep", "--min", "-0.5"), "need 0 <= eta_min < eta_max <= 1, got [-0.5, 1.0]"),
+            (("efficiency", "sweep", "--min", "-0.5"), "eta_min must lie in [0, 1], got -0.5"),
             (("efficiency", "sweep", "--min", "nan"), "eta_min must be finite, got nan"),
             (("efficiency", "sweep", "--max", "inf"), "eta_max must be finite, got inf"),
-            (("efficiency", "sweep", "--steps", "1"), "need at least 2 steps, got 1"),
+            (("efficiency", "sweep", "--steps", "1"), "steps must be at least 2, got 1"),
+            (("efficiency", "sweep", "--min", "0.5", "--max", "0.2"), "need eta_min < eta_max, got [0.5, 0.2]"),
+            (("--precision", "0", "efficiency", "thresholds"), "--precision must be at least 1, got 0"),
+            (("--seed", "-1", "verify"), "--seed must be at least 0, got -1"),
+            (
+                ("evolve", "--state", "plus-x", "--hamiltonian", "0,0,1", "--t", "nan"),
+                "--t must be finite, got nan",
+            ),
         ],
     )
     def test_error_line_names_the_value(self, capsys, argv, message):
@@ -428,11 +436,10 @@ CSV_FLOATS = st.one_of(
 @st.composite
 def csv_tables(draw):
     n_rows = draw(st.integers(0, 50))
-    columns = draw(
-        st.lists(st.lists(CSV_FLOATS, min_size=n_rows, max_size=n_rows), min_size=1, max_size=9)
-    )
+    # numpy's array strategy draws a fill value and some cells, not each cell as st.lists does
+    columns = draw(st.lists(arrays(np.float64, n_rows, elements=CSV_FLOATS), min_size=1, max_size=9))
     # each column either a float64 array or a list of Python floats
-    return [np.array(c, dtype=np.float64) if draw(st.booleans()) else c for c in columns]
+    return [c if draw(st.booleans()) else c.tolist() for c in columns]
 
 
 class TestCsvFormatting:

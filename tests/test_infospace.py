@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infolab.efficiency import EfficiencyModel, ratio_sweep
-from infolab.entanglement import TwoQubitState, werner_state
+from infolab.entanglement import TwoQubitState, bell_state, partial_trace, werner_state
 from infolab.infospace import (
     ConservationReport,
     Hamiltonian,
@@ -363,6 +363,10 @@ def sweep_steps(steps):
     return ratio_sweep(0.0, 1.0, steps)
 
 
+def singlet_half(keep):
+    return partial_trace(bell_state("psi-"), keep)
+
+
 def rotation_angle(angle):
     return rotation_matrix(Z_DIR, angle)
 
@@ -441,6 +445,29 @@ class TestRealInputOnly:
         with pytest.raises(ValueError) as err:
             build(value)
         assert str(err.value) == f"{what} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "build, value, message",
+        [
+            (EfficiencyModel, np.float64(1.5), "efficiency must lie in [0, 1], got 1.5"),
+            (EfficiencyModel, np.float32(-0.5), "efficiency must lie in [0, 1], got -0.5"),
+            (werner_state, np.float64(1.5), "Werner weight must lie in [0, 1], got 1.5"),
+            (werner_state, np.float64("nan"), "Werner weight must be finite, got nan"),
+            (sweep_low, np.float64(-0.5), "eta_min must lie in [0, 1], got -0.5"),
+            (sweep_steps, np.float64(3.0), "steps must be an integer, got 3.0"),
+            (sweep_steps, np.int64(1), "steps must be at least 2, got 1"),
+            (euler_steps, np.float64(3.0), "steps must be an integer, got 3.0"),
+            (euler_steps, np.int64(0), "steps must be at least 1, got 0"),
+            (normalization_factor, np.float64(3.0), "number of outcomes must be an integer, got 3.0"),
+            (normalization_factor, np.int64(1), "number of outcomes must be at least 2, got 1"),
+            (singlet_half, np.int64(2), "keep must lie in [0, 1], got 2"),
+            (singlet_half, 0.0, "keep must be an integer, got 0.0"),  # a float is no index, even 0.0
+        ],
+    )
+    def test_scalar_refused_naming_the_python_number(self, build, value, message):
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert str(err.value) == message and "np." not in str(err.value)
 
     @pytest.mark.parametrize(
         "build, values, message",
@@ -667,6 +694,16 @@ class TestConservation:
     def test_report_validates_lengths(self):
         with pytest.raises(ValueError, match="lengths"):
             ConservationReport(times=[0.0, 1.0], i_total_values=[1.0])
+
+    @pytest.mark.parametrize(
+        "times, values, what",
+        [([np.nan, 1.0], [1.0, 1.0], "times"), ([0.0, -np.inf], [1.0, 1.0], "times"),
+         ([0.0, 1.0], [1.0, np.inf], "i_total_values"), ([0.0, 1.0], [np.nan, 1.0], "i_total_values")],
+    )
+    def test_report_refuses_non_finite(self, times, values, what):
+        with pytest.raises(ValueError) as err:
+            ConservationReport(times, values)
+        assert str(err.value) == f"{what} must be finite"
 
     def test_report_derives_drift_from_values(self):
         report = ConservationReport(times=[0.0, 1.0, 2.0], i_total_values=[1.0, 0.8, 1.1])
