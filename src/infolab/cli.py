@@ -10,7 +10,8 @@ Conventions:
   detail, drift) go to stderr;
 * exit code 0 on success, 2 on usage errors (unknown subcommand, malformed
   vectors or probabilities, out-of-range efficiency), 1 on computation or
-  I/O errors; every error is a single stderr line starting with ``error:``;
+  I/O errors; every error is a single stderr line starting with ``error:``,
+  and an ``entangle icorr`` warning one starting with ``warning:``;
 * values are printed as ``round(value, precision)`` (``--precision``,
   default 6); CSV files use 12-significant-digit formatting and are byte
   stable for identical invocations; every CSV table (``evolve``,
@@ -37,6 +38,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,7 @@ from .states import (
     ProbDist,
     QubitState,
     _finite_real,
+    _in_range,
     _integer,
     density_from_bloch,
     named_state,
@@ -168,9 +171,9 @@ def _parse_times(text: str) -> np.ndarray:
     if step <= 0.0 or stop < start:
         raise UsageError(f"times {text!r} must have stop >= start and step > 0")
     span = (stop - start) / step + 1e-9
-    if not span < MAX_GRID_POINTS:
-        raise UsageError(f"times {text!r} give more than {MAX_GRID_POINTS} points")
-    return start + step * np.arange(int(np.floor(span)) + 1)
+    with _usage_errors():  # a float count: an overflowing span reads inf, not 300 digits
+        points = _in_range(float(np.floor(span)) + 1.0, "--times point count", 1, MAX_GRID_POINTS)
+    return start + step * np.arange(int(points))
 
 
 def _write_text(path: str | Path | None, content: str) -> None:
@@ -229,6 +232,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         t = _finite_real(args.t, "--t")
 
     if not args.report_conservation:
+        for flag, value in (("--times", args.times), ("--out", args.out), ("--triad", args.triad)):
+            if value is not None:
+                raise UsageError(f"{flag} requires --report-conservation")
         print(_fmt_vector(evolve(state, h, t).bloch, args.precision))
         return 0
 
@@ -244,17 +250,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_or_usage(eta_min: float, eta_max: float, steps: int) -> eff.SweepTable:
-    if steps > MAX_GRID_POINTS:
-        raise UsageError(f"--steps {steps} gives more than {MAX_GRID_POINTS} points")
-    with _usage_errors():
-        table = eff.ratio_sweep(eta_min, eta_max, steps)
-    table.validate()  # never emit a CSV that violates its own row identities
-    return table
-
-
 def _cmd_efficiency_sweep(args: argparse.Namespace) -> int:
-    table = _sweep_or_usage(args.min, args.max, args.steps)
+    with _usage_errors():
+        steps = _integer(args.steps, "--steps", 2, MAX_GRID_POINTS)
+        table = eff.ratio_sweep(args.min, args.max, steps)
+    table.validate()  # never emit a CSV that violates its own row identities
     _write_text(args.out, _csv(eff.SweepTable.HEADER, table.columns()))
     return 0
 
@@ -274,7 +274,8 @@ def reproduce_figures(out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = _sweep_or_usage(0.0, 1.0, 201)
+    table = eff.ratio_sweep(0.0, 1.0, 201)
+    table.validate()
     lo, hi = eff.thresholds()
 
     paths = [out / name for name in ("fig1.csv", "fig1.svg", "fig2.csv", "fig2.svg")]
@@ -314,7 +315,9 @@ def _cmd_efficiency_figures(args: argparse.Namespace) -> int:
 
 def _cmd_entangle_icorr(args: argparse.Namespace) -> int:
     state = _parse_two_qubit_state(args.state)
-    result = i_corr(state, _parse_direction(args.d1, "d1"), _parse_direction(args.d2, "d2"))
+    with warnings.catch_warnings():  # each warning shown, e.g. a nearly parallel pair, on one line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        result = i_corr(state, _parse_direction(args.d1, "d1"), _parse_direction(args.d2, "d2"))
     print(_fmt(result.total_bits, args.precision))
     print(
         f"E1={_fmt(result.correlations[0], args.precision)} "

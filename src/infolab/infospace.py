@@ -32,7 +32,7 @@ The tests hold the second route to the first.  A fixed-step Euler commutator
 integrator is included purely to demonstrate drift versus step size; it is not
 used by anything else.  Both routes share one unit-ball bound on the Bloch
 radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
-InfoVector bounds (``_check_info_rows``), one guard on the rotation angle
+InfoVector bound (``_check_info_rows``), one guard on the rotation angle
 2|a|t (``_check_angle``) and one reader of a time or an angle
 (``states._finite_real``).  Each value is checked once, on Python scalars:
 ``InfoVector`` checks its three floats, ``Hamiltonian`` the entries of one
@@ -74,7 +74,8 @@ INFO_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class InfoVector:
-    """Catalog of knowledge (i1, i2, i3): probability differences along a triad."""
+    """Catalog of knowledge (i1, i2, i3): probability differences along a triad,
+    refused unless the total i1^2 + i2^2 + i3^2 is at most 1 (``_check_info_rows``)."""
 
     i1: float
     i2: float
@@ -152,18 +153,12 @@ def _totals(vectors):
 
 
 def _check_info_rows(vectors):
-    """InfoVector bounds on one (i1, i2, i3) of Python scalars or on each row
-    of an (n, 3) array: components in [-1, 1] and total at most 1, within
-    INFO_ATOL; NaN fails them.  Returns ``_totals(vectors)``."""
-    array = isinstance(vectors, np.ndarray)
-    if array:
-        inside = np.abs(vectors).max() <= 1.0 + INFO_ATOL
-    else:
-        inside = all(abs(c) <= 1.0 + INFO_ATOL for c in vectors)
-    if not inside:
-        raise ValueError("info vector components outside [-1, 1]")
+    """InfoVector's bound on one (i1, i2, i3) of Python scalars or on each row
+    of an (n, 3) array: total at most 1 within INFO_ATOL, which also holds each
+    component to [-1, 1] within INFO_ATOL / 2; NaN or inf fails it.  Returns
+    ``_totals(vectors)``."""
     totals = _totals(vectors)
-    if not (totals.max() if array else totals) <= 1.0 + INFO_ATOL:
+    if not (totals.max() if isinstance(vectors, np.ndarray) else totals) <= 1.0 + INFO_ATOL:
         raise ValueError("info vector longer than 1")
     return totals
 
@@ -211,7 +206,7 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
 def rotate_triad(triad: MeasurementTriad, axis, angle: float) -> MeasurementTriad:
     """Rotate every triad direction by +angle about axis (active rotation)."""
     rot = rotation_matrix(axis, angle)
-    return MeasurementTriad.from_matrix(triad.matrix @ rot.T)
+    return MeasurementTriad(triad.matrix @ rot.T)
 
 
 def _su2(axis, half_angle: float) -> np.ndarray:
@@ -282,7 +277,7 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     The whole array is validated once: times must be finite, non-empty and
     sorted ascending; the rotation angle must be finite; every evolved Bloch
     vector must pass QubitState's unit-ball check; every row must satisfy the
-    InfoVector bounds.  The comparisons are written so that NaN fails them.
+    InfoVector bound.  The comparisons are written so that NaN fails them.
     """
     return _trajectory(state, h, triad, times)[1]
 

@@ -5,8 +5,9 @@ derived view (this extends cleanly to two-qubit states).  All containers are
 immutable value types and every operation is pure, so everything here is safe
 to share across threads.
 
-Tolerances: algebraic identities are enforced at 1e-12, orthonormality of
-measurement triads at 1e-10 (hand-typed vectors deserve a little slack).
+Tolerances: algebraic identities are enforced at 1e-12, and so is the unit
+norm of each triad row, as of every ``Direction``; the orthogonality and
+handedness of measurement triads are enforced at 1e-10.
 Qubit positivity is one unit-ball bound on the Bloch radius, |r| <= 1 + 1e-12
 (``_check_bloch``); two-qubit positivity uses eigenvalues.  Outside numbers
 have one reader, ``_real_array``: every value type refuses strings and
@@ -16,8 +17,9 @@ bounds (``_in_range``).  Each value is checked once, on the Python scalars of
 one ``.tolist()``, because numpy calls on 3-element arrays cost more than the
 arithmetic: ``_check_bloch`` takes one vector's three floats (or the rows of a
 trajectory array); a triad is only its 3x3 matrix, and checks each row's unit
-norm, then the Gram matrix, then the determinant; ``_born_pair`` applies
-``ProbDist``'s rules to one pair of Born probabilities without building one.
+norm, then the pairwise dot products, then the determinant; ``_born_pair``
+applies ``ProbDist``'s rules to one pair of Born probabilities without building
+one.
 ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored once, in
 closed forms bit-identical to the einsum and determinant they replace.  The
 seeded samplers at the end are the ones the ``verify`` checks and the test
@@ -298,13 +300,10 @@ class MeasurementTriad:
 
 
 def _check_triad(rows: list) -> None:
-    """Orthonormal, then right-handed, within TRIAD_ATOL, for three unit rows of Python floats."""
+    """Orthogonal, then right-handed, within TRIAD_ATOL, for three rows of Python floats
+    that passed ``_check_unit``: |a.a - 1| is then about 2e-12 at most, far inside TRIAD_ATOL."""
     a, b, c = rows
-    gram_gap = max(
-        abs(_dot(a, a) - 1.0), abs(_dot(a, b)), abs(_dot(a, c)),
-        abs(_dot(b, b) - 1.0), abs(_dot(b, c)), abs(_dot(c, c) - 1.0),
-    )
-    if gram_gap > TRIAD_ATOL:
+    if max(abs(_dot(a, b)), abs(_dot(a, c)), abs(_dot(b, c))) > TRIAD_ATOL:
         raise ValueError("triad directions are not mutually orthogonal")
     det = _dot(a, _cross(b, c))
     if abs(det - 1.0) > TRIAD_ATOL:

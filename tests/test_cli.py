@@ -25,6 +25,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+EVOLVE = ("evolve", "--state", "plus-x", "--hamiltonian", "0,0,1")
+REPORT = (*EVOLVE, "--t", "1", "--report-conservation", "--times")
+
+
 class TestMeasureCommand:
     def test_bz_certainty_prints_one(self, capsys):
         code, out, err = run(capsys, "measure", "bz", "--probs", "1,0")
@@ -75,7 +79,7 @@ class TestUsageErrors:
             (("efficiency", "sweep", "--min", "-0.5"), "eta_min must lie in [0, 1], got -0.5"),
             (("efficiency", "sweep", "--min", "nan"), "eta_min must be finite, got nan"),
             (("efficiency", "sweep", "--max", "inf"), "eta_max must be finite, got inf"),
-            (("efficiency", "sweep", "--steps", "1"), "steps must be at least 2, got 1"),
+            (("efficiency", "sweep", "--steps", "1"), "--steps must lie in [2, 1000000], got 1"),
             (("efficiency", "sweep", "--min", "0.5", "--max", "0.2"), "need eta_min < eta_max, got [0.5, 0.2]"),
             (("--precision", "0", "efficiency", "thresholds"), "--precision must be at least 1, got 0"),
             (("--seed", "-1", "verify"), "--seed must be at least 0, got -1"),
@@ -83,6 +87,10 @@ class TestUsageErrors:
                 ("evolve", "--state", "plus-x", "--hamiltonian", "0,0,1", "--t", "nan"),
                 "--t must be finite, got nan",
             ),
+            (("efficiency", "sweep", "--steps", "0"), "--steps must lie in [2, 1000000], got 0"),
+            (("efficiency", "sweep", "--steps", "2000000"), "--steps must lie in [2, 1000000], got 2000000"),
+            ((*REPORT, "0:1e9:1e-9"), "--times point count must lie in [1, 1000000], got 1e+18"),
+            ((*REPORT, "-1e308:1e308:1e-300"), "--times point count must lie in [1, 1000000], got inf"),
         ],
     )
     def test_error_line_names_the_value(self, capsys, argv, message):
@@ -216,10 +224,6 @@ class TestEvolveCommand:
         assert first.read_bytes() == second.read_bytes()
 
 
-EVOLVE = ("evolve", "--state", "plus-x", "--hamiltonian", "0,0,1")
-REPORT = (*EVOLVE, "--t", "1", "--report-conservation", "--times")
-
-
 class TestMalformedEvolve:
     """Malformed input to any subcommand: exit 2, one ``error:`` line, no stdout."""
 
@@ -269,12 +273,21 @@ class TestMalformedEvolve:
     def test_point_cap_boundary(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
         assert cli._parse_times("0:1:0.1").size == 11
-        with pytest.raises(cli.UsageError, match="more than 11 points"):
+        with pytest.raises(cli.UsageError, match=r"^--times point count must lie in \[1, 11\], got 12.0$"):
             cli._parse_times("0:1.1:0.1")
         code, out, _ = run(capsys, "efficiency", "sweep", "--steps", "11")
         assert code == 0 and len(out.splitlines()) == 12
         code, out, err = run(capsys, "efficiency", "sweep", "--steps", "12")
-        assert code == 2 and out == "" and err == "error: --steps 12 gives more than 11 points\n"
+        assert code == 2 and out == "" and err == "error: --steps must lie in [2, 11], got 12\n"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--times", "0:1:0.5"), ("--out", "x.csv"), ("--triad", "0,1,0:-1,0,0:0,0,1")]
+    )
+    def test_report_flag_without_report_refused(self, tmp_path, capsys, flag, value):
+        # evolve alone prints one Bloch vector: a report flag would be dropped unread
+        argv = (*EVOLVE, "--t", "1", flag, str(tmp_path / value) if flag == "--out" else value)
+        assert run(capsys, *argv) == (2, "", f"error: {flag} requires --report-conservation\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_evolves_each_point_once(self, monkeypatch, tmp_path, capsys):
         calls = {"trajectory": 0, "evolve": 0}
@@ -376,6 +389,16 @@ class TestEntangleCommands:
         assert code == 0
         assert out == "2.0\n"
         assert "E1=-1.0" in err and "E2=-1.0" in err
+
+    def test_icorr_nearly_parallel_warning_is_one_line(self, capsys):
+        argv = ("entangle", "icorr", "--state", "bell:psi-", "--d1", "1,0,0", "--d2", "1,1e-5,0")
+        assert run(capsys, *argv) == (
+            0,
+            "2.0\n",
+            "warning: direction pair is nearly parallel (|d1.d2| = 0.99999999995); "
+            "the two propositions are almost redundant\n"
+            "E1=-1.0 E2=-1.0 I1=1.0 I2=1.0\n",
+        )
 
     def test_negative_vector_components_accepted(self, capsys):
         # "--d2 -1,0,0" must not be mistaken for an option flag

@@ -84,7 +84,7 @@ class TestInfoVector:
                 assert comp == probs[0] - probs[1] == 0.5 * (1.0 + overlap) - 0.5 * (1.0 - overlap)
 
     def test_component_validation(self):
-        with pytest.raises(ValueError, match="components"):
+        with pytest.raises(ValueError, match="longer"):  # a component above 1 fails the total
             InfoVector(1.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="longer"):
             InfoVector(0.8, 0.8, 0.8)
@@ -584,9 +584,9 @@ class TestInfoTrajectory:
     @pytest.mark.parametrize(
         "rows, match",
         [
-            (2.0 * np.eye(3), "components"),
+            (2.0 * np.eye(3), "longer"),
             ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], "longer"),
-            ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "components"),
+            ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "longer"),
         ],
     )
     def test_row_bounds_checked(self, rows, match):
@@ -637,9 +637,9 @@ class TestSinglePassRejections:
     @pytest.mark.parametrize(
         "comps, message",
         [
-            ((1.1, 0.0, 0.0), "info vector components outside [-1, 1]"),
+            ((1.1, 0.0, 0.0), "info vector longer than 1"),
             ((0.8, 0.8, 0.0), "info vector longer than 1"),
-            ((np.nan, 0.0, 0.0), "info vector components outside [-1, 1]"),
+            ((np.nan, 0.0, 0.0), "info vector longer than 1"),
         ],
     )
     def test_info_vector(self, comps, message):

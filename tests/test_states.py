@@ -288,9 +288,17 @@ class TestDirectionsAndTriads:
         assert CANONICAL_TRIAD.matrix.tobytes() == rows.tobytes() == np.eye(3).tobytes()
 
     def test_hand_typed_slack(self):
-        # orthonormality tolerance is looser (1e-10) than the algebraic 1e-12
+        # full-precision rows: orthogonality and handedness are held to 1e-10,
+        # but each row's norm to 1e-12, as any Direction's (test_row_norm_rule)
         v = 0.7071067811865476
         MeasurementTriad.from_matrix([[v, v, 0.0], [-v, v, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_row_norm_rule(self):
+        # 10-digit rows are orthogonal, but their norms miss 1 by 1.9e-11
+        v = 0.7071067812
+        with pytest.raises(ValueError) as err:
+            MeasurementTriad([[v, v, 0.0], [-v, v, 0.0], [0.0, 0.0, 1.0]])
+        assert str(err.value) == "direction norm is 1.0000000000190248, expected 1"
 
 
 class TestRandomSampling:
