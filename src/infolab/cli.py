@@ -64,6 +64,7 @@ from .infospace import (
 from .measures import bz_measure, shannon
 from .states import (
     CANONICAL_TRIAD,
+    DEFAULT_SEED,
     Direction,
     MeasurementTriad,
     ProbDist,
@@ -74,7 +75,6 @@ from .states import (
     density_from_bloch,
     named_state,
 )
-from .verify import DEFAULT_SEED, run_all
 
 PROG = "infolab"
 MAX_GRID_POINTS = 1_000_000  # larger --times/--steps grids are refused before allocation
@@ -342,7 +342,9 @@ def _cmd_entangle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all(args.seed)
+    from . import verify  # imported here, so no other subcommand loads the invariant suite
+
+    results = verify.run_all(args.seed)
     failures = 0
     for check in results:
         if check.passed:

@@ -35,9 +35,20 @@ radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
 InfoVector bound (``_check_info_rows``), one guard on the rotation angle
 2|a|t (``_check_angle``) and one reader of a time or an angle
 (``states._finite_real``).  Each value is checked once, on Python scalars:
-``InfoVector`` checks its three floats, ``Hamiltonian`` the entries of one
-``.tolist()`` before storing its Pauli coefficients (a0, a) in closed form,
-and ``conservation_check`` reports the totals the row check computed.
+``InfoVector`` checks its three floats (numpy scalars read as the Python
+numbers they hold), ``Hamiltonian`` the entries of one ``.tolist()`` before
+storing its Pauli coefficients (a0, a) in closed form, and
+``conservation_check`` reports the totals the row check computed.
+Values derived from checked ones skip only the checks that cannot fire on
+them (``states._built``): ``conservation_check`` keeps ``_trajectory``'s
+arrays as they are, without ``ConservationReport``'s re-cast and checks,
+because the times were read and checked finite and non-empty, each total
+passed the InfoVector bound (which NaN and inf fail), and both are new arrays
+of one shape (n,); ``info_vector`` checks its six Born probabilities in one
+pass and its three components against the InfoVector bound, then builds the
+InfoVector without checking them again; ``rotate_triad`` holds the rotated
+rows to every triad rule but skips ``MeasurementTriad``'s re-cast, as the
+product of two float 3x3 arrays is a new float 3x3 array.
 ``rotation_matrix`` writes the Rodrigues form entry by entry on floats, in
 numpy's order of operations, so its bits are those of the array expression.
 """
@@ -54,9 +65,11 @@ from .states import (
     PAULIS,
     MeasurementTriad,
     QubitState,
-    _born_pair,
+    _born_pairs,
+    _built,
     _check_bloch,
     _check_hermitian,
+    _check_triad,
     _cross,
     _dot,
     _finite_real,
@@ -82,7 +95,10 @@ class InfoVector:
     i3: float
 
     def __post_init__(self):
-        _check_info_rows((self.i1, self.i2, self.i3))
+        # numpy scalars are read as the Python numbers they hold, so squaring one cannot
+        # overflow with a warning (float) or wrap round (int) before the bound refuses it
+        comps = (self.i1, self.i2, self.i3)
+        _check_info_rows([c.item() if isinstance(c, np.generic) else c for c in comps])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.i1, self.i2, self.i3])
@@ -171,9 +187,11 @@ def info_vector(state, triad: MeasurementTriad) -> InfoVector:
     not computed as ``triad.matrix @ r``, so that it stays an independent
     check of ``info_trajectory``, which projects that way.
     """
-    r, m = as_qubit_state(state).bloch, triad.matrix
-    (u1, d1), (u2, d2), (u3, d3) = _born_pair(r, m[0]), _born_pair(r, m[1]), _born_pair(r, m[2])
-    return InfoVector(u1 - d1, u2 - d2, u3 - d3)
+    m = triad.matrix
+    (u1, d1), (u2, d2), (u3, d3) = _born_pairs(as_qubit_state(state).bloch, (m[0], m[1], m[2]))
+    i1, i2, i3 = comps = u1 - d1, u2 - d2, u3 - d3
+    _check_info_rows(comps)  # InfoVector's check; its components are Python floats already
+    return _built(InfoVector, i1=i1, i2=i2, i3=i3)
 
 
 def total_information(iv: InfoVector) -> float:
@@ -185,28 +203,29 @@ def total_information(iv: InfoVector) -> float:
     return iv.i1 * iv.i1 + iv.i2 * iv.i2 + iv.i3 * iv.i3
 
 
-_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
 def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Active right-handed rotation matrix about a unit axis (Rodrigues form).
 
-    Entry (i, j) is cos I + sin [k]x + (1 - cos) k k^T, summed in that order
-    on Python floats: numpy's elementwise form, signed zeros included.
+    For the unit axis k = (x, y, z), entry (i, j) is cos I + sin [k]x + (1 - cos) k k^T,
+    summed in that order on Python floats: numpy's elementwise form, signed zeros
+    included, so the products by the zero and unit entries of I and [k]x are kept.
     """
     angle = _finite_real(angle, "rotation angle")
-    kx, ky, kz = k = as_direction(axis).vec.tolist()
-    cross = ((0.0, -kz, ky), (kz, 0.0, -kx), (-ky, kx, 0.0))
+    x, y, z = as_direction(axis).vec.tolist()
     c, s = float(np.cos(angle)), float(np.sin(angle))
-    return np.array(
-        [[c * _EYE[i][j] + s * cross[i][j] + (1.0 - c) * (k[i] * k[j]) for j in range(3)] for i in range(3)]
-    )
+    v = 1.0 - c
+    return np.array([
+        [c * 1.0 + s * 0.0 + v * (x * x), c * 0.0 + s * -z + v * (x * y), c * 0.0 + s * y + v * (x * z)],
+        [c * 0.0 + s * z + v * (y * x), c * 1.0 + s * 0.0 + v * (y * y), c * 0.0 + s * -x + v * (y * z)],
+        [c * 0.0 + s * -y + v * (z * x), c * 0.0 + s * x + v * (z * y), c * 1.0 + s * 0.0 + v * (z * z)],
+    ])
 
 
 def rotate_triad(triad: MeasurementTriad, axis, angle: float) -> MeasurementTriad:
     """Rotate every triad direction by +angle about axis (active rotation)."""
-    rot = rotation_matrix(axis, angle)
-    return MeasurementTriad(triad.matrix @ rot.T)
+    matrix = triad.matrix @ rotation_matrix(axis, angle).T
+    _check_triad(matrix.tolist())  # a new 3x3 float array: only MeasurementTriad's re-cast is skipped
+    return _built(MeasurementTriad, matrix=_frozen(matrix))
 
 
 def _su2(axis, half_angle: float) -> np.ndarray:
@@ -320,4 +339,4 @@ def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) ->
     evolution it stays at floating-point noise.
     """
     times, _, totals = _trajectory(state, h, triad, times)
-    return ConservationReport(times=times, i_total_values=totals)
+    return _built(ConservationReport, times=times, i_total_values=totals)  # both checked by _trajectory

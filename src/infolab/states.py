@@ -17,9 +17,15 @@ bounds (``_in_range``).  Each value is checked once, on the Python scalars of
 one ``.tolist()``, because numpy calls on 3-element arrays cost more than the
 arithmetic: ``_check_bloch`` takes one vector's three floats (or the rows of a
 trajectory array); a triad is only its 3x3 matrix, and checks each row's unit
-norm, then the pairwise dot products, then the determinant; ``_born_pair``
-applies ``ProbDist``'s rules to one pair of Born probabilities without building
-one.
+norm, then the pairwise dot products, then the determinant; ``_born_pairs``
+applies ``ProbDist``'s rules to the Born probabilities along several directions
+in one pass, without building a ``ProbDist``.
+A value derived from checked values skips, through ``_built``, the checks that
+cannot fire on it, and only those: ``density_from_bloch`` writes rows that are
+Hermitian (the off-diagonal entries are conjugates), of unit trace (to
+rounding, far inside ATOL) and finite (from a checked finite r), so it skips
+the density matrix's re-read and ``_check_density``; it keeps both unit-ball
+checks, as the Bloch vector read back from its rows may exceed |r| by an ulp.
 ``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored once, in
 closed forms bit-identical to the einsum and determinant they replace.  The
 seeded samplers at the end are the ones the ``verify`` checks and the test
@@ -53,6 +59,15 @@ IDENTITY2 = np.eye(2, dtype=complex)
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, without
+    ``__post_init__``: only for a value derived from checked ones, on which every
+    check skipped this way provably cannot fire."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # as the generated __init__'s object.__setattr__ calls would
+    return obj
 
 
 def _real_array(values, dtype=_FLOAT64) -> np.ndarray:
@@ -164,10 +179,8 @@ class QubitState:
     def __post_init__(self):
         rho, rows = _square_rows(self.rho, 2, "density matrix")
         _check_density(rows)
-        bloch = _pauli_vector(rows)
-        _check_bloch(bloch)
         object.__setattr__(self, "rho", _frozen(rho))
-        object.__setattr__(self, "bloch", _frozen(np.array(bloch)))
+        object.__setattr__(self, "bloch", _positive_bloch(rows))
 
     @property
     def purity(self) -> float:
@@ -194,7 +207,15 @@ def _check_hermitian(m: list, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian")
 
 
-def _pauli_vector(rows: list) -> tuple[float, float, float]:
+def _positive_bloch(rows) -> np.ndarray:
+    """The read-only Bloch vector of a 2x2 density matrix's rows, held to the
+    unit-ball bound that is qubit positivity."""
+    bloch = _pauli_vector(rows)
+    _check_bloch(bloch)
+    return _frozen(np.array(bloch))
+
+
+def _pauli_vector(rows) -> tuple[float, float, float]:
     """Re tr(m sigma_k) for m = [[a, b], [c, d]], the einsum over PAULIS less its
     zero products; 0.0 + x turns -0.0 into 0.0, as einsum's zeroed sum does."""
     (a, b), (c, d) = rows
@@ -288,10 +309,7 @@ class MeasurementTriad:
         matrix = _real_array(self.matrix)
         if matrix.shape != (3, 3):
             raise ValueError(f"triad matrix must be 3x3, got {matrix.shape}")
-        rows = matrix.tolist()
-        for row in rows:  # Direction's rule on each row
-            _check_unit(row)
-        _check_triad(rows)
+        _check_triad(matrix.tolist())
         object.__setattr__(self, "matrix", _frozen(matrix))
 
     @classmethod
@@ -300,8 +318,10 @@ class MeasurementTriad:
 
 
 def _check_triad(rows: list) -> None:
-    """Orthogonal, then right-handed, within TRIAD_ATOL, for three rows of Python floats
-    that passed ``_check_unit``: |a.a - 1| is then about 2e-12 at most, far inside TRIAD_ATOL."""
+    """Direction's rule on each of three rows of Python floats, then orthogonal, then
+    right-handed, within TRIAD_ATOL: |a.a - 1| is then about 2e-12 at most, far inside it."""
+    for row in rows:
+        _check_unit(row)
     a, b, c = rows
     if max(abs(_dot(a, b)), abs(_dot(a, c)), abs(_dot(b, c))) > TRIAD_ATOL:
         raise ValueError("triad directions are not mutually orthogonal")
@@ -322,26 +342,34 @@ def density_from_bloch(r) -> QubitState:
     _check_bloch(r)
     x, y, z = r
     re, im = 0.0 + 0.5 * x, 0.5 * y  # the einsum's entries, less its zero products
-    off = complex(re, 0.0 - im), complex(re, 0.0 + im)
-    return QubitState(((0.5 * (1.0 + z), off[0]), (off[1], 0.5 * (1.0 - z))))
+    rows = ((0.5 * (1.0 + z), complex(re, 0.0 - im)), (complex(re, 0.0 + im), 0.5 * (1.0 - z)))
+    # finite, Hermitian and of unit trace by construction; the Bloch vector read back may differ from r
+    return _built(QubitState, rho=_frozen(np.array(rows)), bloch=_positive_bloch(rows))
 
 
 def born_probabilities(state, direction) -> ProbDist:
     """Spin up/down probabilities along a direction: p = (1 +- d.r) / 2."""
-    return ProbDist(_born_pair(as_qubit_state(state).bloch, as_direction(direction).vec))
+    (pair,) = _born_pairs(as_qubit_state(state).bloch, (as_direction(direction).vec,))
+    return ProbDist(pair)
 
 
-def _born_pair(r: np.ndarray, d: np.ndarray) -> list[float]:
-    """[p+, p-] = [(1 + d.r) / 2, (1 - d.r) / 2] as Python floats, held to
-    ProbDist's rules without building one."""
-    overlap = float(d.dot(r))  # np.dot, not _dot: BLAS may fuse the multiply-adds
-    probs = [0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)]
-    _check_probs(probs, lambda: probs[0] + probs[1])
-    return probs
+def _born_pairs(r: np.ndarray, directions) -> list[tuple[float, float]]:
+    """(p+, p-) = ((1 + d.r) / 2, (1 - d.r) / 2) as Python floats for each direction d,
+    each held to ProbDist's rules as it is computed, without building one."""
+    pairs = []
+    for d in directions:
+        overlap = float(d.dot(r))  # np.dot, not _dot: BLAS may fuse the multiply-adds
+        p, q = 0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)
+        if not (-ATOL <= p <= 1.0 + ATOL and -ATOL <= q <= 1.0 + ATOL and abs(p + q - 1.0) <= ATOL):
+            _check_probs([p, q], lambda: p + q)  # raises ProbDist's message; NaN fails it too
+        pairs.append((p, q))
+    return pairs
 
 
 # Seeded pseudo-randomness uses NumPy's default_rng (PCG64) throughout so the
 # suite is reproducible: the same seed always yields the same draws.
+DEFAULT_SEED = 42  # of ``infolab verify`` and the CLI, unless INFOLAB_SEED or --seed is set
+
 
 def random_directions(seed, n: int) -> np.ndarray:
     """(n, 3) unit vectors drawn uniformly from the sphere; a passed Generator

@@ -33,6 +33,7 @@ from .infospace import (
 from .measures import _bz_rows, _shannon_rows, bz_elementary, bz_measure, shannon
 from .states import (
     CANONICAL_TRIAD,
+    DEFAULT_SEED,
     Direction,
     _check_prob_rows,
     born_probabilities,
@@ -44,7 +45,6 @@ from .states import (
     random_triad,
 )
 
-DEFAULT_SEED = 42
 _GRID_STEP = 0.01  # of the simplex grid searched for an ordering witness
 _WITNESS_MARGIN = 1e-6  # by which a witness's orderings must hold
 

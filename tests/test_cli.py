@@ -490,15 +490,22 @@ class TestParserReuse:
         in_process = [run(capsys, *argv) for argv in self.SEQUENCE]
         code, out, err = in_process[0]
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
-        # the subprocesses import the same infolab sources as this test
-        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         for argv, expected in zip(self.SEQUENCE, in_process):
-            alone = subprocess.run(
-                [sys.executable, "-m", "infolab.cli", *argv],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
+            alone = _python("-m", "infolab.cli", *argv)
             assert (alone.returncode, alone.stdout, alone.stderr) == expected, argv
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the same infolab sources as this test."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_importing_cli_leaves_the_invariant_suite_unloaded():
+    # only the verify subcommand imports infolab.verify; every other CLI process skips it
+    done = _python("-c", "import sys, infolab.cli; print('infolab.verify' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestSeedResolution:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import infolab.cli as cli
+import infolab.verify as verify
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
@@ -35,7 +36,7 @@ def _assert_golden(actual: bytes, name: str) -> None:
 def test_verify_seed_42(monkeypatch, capsys, seed_42_results):
     # prints the session's seed-42 run (shared with test_verify) through the CLI
     seeds = []
-    monkeypatch.setattr(cli, "run_all", lambda seed: seeds.append(seed) or seed_42_results)
+    monkeypatch.setattr(verify, "run_all", lambda seed: seeds.append(seed) or seed_42_results)
     _assert_golden(_stdout(capsys, "--seed", "42", "verify"), "verify_seed42.txt")
     assert seeds == [42]
 

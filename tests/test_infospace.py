@@ -37,6 +37,7 @@ from infolab.states import (
     born_probabilities,
     density_from_bloch,
     named_state,
+    random_bloch_vectors,
     random_directions,
     random_qubit_state,
     random_triad,
@@ -88,6 +89,14 @@ class TestInfoVector:
             InfoVector(1.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="longer"):
             InfoVector(0.8, 0.8, 0.8)
+
+    @pytest.mark.parametrize("big", [np.float64(1e200), np.float32(1e20), np.int64(2**32)])
+    def test_numpy_scalar_components_are_read_as_python_numbers(self, big):
+        # squared as numpy scalars these overflow with a RuntimeWarning, and the int64 wraps to 0
+        with pytest.raises(ValueError, match="^info vector longer than 1$"):
+            InfoVector(big, 0.0, 0.0)
+        iv = InfoVector(np.float32(0.5), np.float64(0.8), np.int64(0))  # stored as given
+        assert [type(c) for c in (iv.i1, iv.i2, iv.i3)] == [np.float32, np.float64, np.int64]
 
 
 class TestTotalInformation:
@@ -594,6 +603,65 @@ class TestInfoTrajectory:
         stand_in = SimpleNamespace(matrix=np.array(rows))
         with pytest.raises(ValueError, match=match):
             info_trajectory(named_state("plus-x"), random_hamiltonian(10), stand_in, [0.0])
+
+
+# zero, signed-zero and pure components, then seeded draws, pure or mixed by a fair coin
+DERIVED_BLOCH = [
+    (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, 1.0), (1.0, -0.0, 0.0),
+    (0.0, -1.0, -0.0), (0.6, -0.0, -0.8), (-0.0, 0.28, -0.96),
+] + [tuple(r) for r in random_bloch_vectors(61, 150)]
+
+
+def _same(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: signed zeros included."""
+    return actual.dtype == expected.dtype and actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestDerivedValues:
+    """Values built from checked ones skip the checks that cannot fire on them;
+    each is bit for bit the value of the validating construction."""
+
+    def test_density_from_bloch_is_qubit_state(self):
+        for r in DERIVED_BLOCH:
+            state = density_from_bloch(r)
+            checked = QubitState(0.5 * (np.eye(2) + np.einsum("k,kij->ij", np.array(r), PAULIS)))
+            assert _same(state.rho, checked.rho) and _same(state.bloch, checked.bloch), r
+            assert not (state.rho.flags.writeable or state.bloch.flags.writeable)
+
+    def test_conservation_check_is_the_validated_report(self):
+        rng = np.random.default_rng(67)
+        for i, r in enumerate(DERIVED_BLOCH):
+            state, triad = density_from_bloch(r), random_triad(rng)
+            a = np.zeros(3) if i % 5 == 0 else rng.normal(size=3)  # a trace-only Hamiltonian too
+            h = Hamiltonian(rng.normal() * np.eye(2) + np.einsum("k,kij->ij", a, PAULIS))
+            times = [0, 1, 2] if i % 7 == 0 else np.sort(rng.uniform(0.0, 10.0, 50))
+            report = conservation_check(state, h, triad, times)
+            checked = ConservationReport(times, _totals(info_trajectory(state, h, triad, times)))
+            assert _same(report.times, checked.times) and _same(report.i_total_values, checked.i_total_values)
+            assert report.max_drift == checked.max_drift
+
+    def test_info_vector_is_per_row_born_probabilities(self):
+        rng = np.random.default_rng(71)
+        for r in DERIVED_BLOCH:
+            state = density_from_bloch(r)
+            for triad in (CANONICAL_TRIAD, random_triad(rng)):
+                iv = info_vector(state, triad)
+                rows = [born_probabilities(state, d).probs for d in triad.matrix]
+                assert all(type(c) is float for c in (iv.i1, iv.i2, iv.i3))
+                assert _same(iv.as_array(), np.array([p[0] - p[1] for p in rows]))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]], "probabilities outside [0, 1]: [1.5, -0.5]"),
+            ([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 3.0]], "probabilities sum to nan, expected 1"),
+        ],
+    )
+    def test_info_vector_refuses_the_first_bad_row(self, rows, message):
+        # a stand-in exposing only .matrix reaches the Born probability checks
+        with pytest.raises(ValueError) as err:
+            info_vector(named_state("plus-z"), SimpleNamespace(matrix=np.array(rows)))
+        assert str(err.value) == message
 
 
 @pytest.mark.filterwarnings("error")

@@ -89,7 +89,7 @@ class TestVerifyCommand:
             calls["seed"] = seed
             return results
 
-        monkeypatch.setattr(cli, "run_all", fake_run_all)
+        monkeypatch.setattr(verify, "run_all", fake_run_all)
         return calls
 
     def test_all_pass_exits_zero(self, monkeypatch, capsys):
