@@ -38,7 +38,6 @@ from .infospace import (
     InfoVector,
     conservation_check,
     evolve,
-    evolve_euler,
     info_trajectory,
     info_vector,
     rotate_triad,

@@ -54,7 +54,6 @@ from .entanglement import (
     werner_state,
 )
 from .infospace import (
-    ConservationReport,
     Hamiltonian,
     _trajectory,
     evolve,
@@ -240,8 +239,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
     if args.times is None:
         raise UsageError("--report-conservation requires --times start:stop:step")
-    times, vectors, totals = _trajectory(state, h, triad, _parse_times(args.times))
-    report = ConservationReport(times, totals)
+    vectors, report = _trajectory(state, h, triad, _parse_times(args.times))
     columns = (report.times, *vectors.T, report.i_total_values)
     _write_text(args.out, _csv(("t", "i1", "i2", "i3", "I_total"), columns))
     if args.out is not None:

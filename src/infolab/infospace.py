@@ -18,39 +18,27 @@ choice):
   ``Hamiltonian`` takes no hbar.
 
 Time evolution is exact, never an ODE stepper, so conservation can fail
-only by floating-point error.  It has two independent routes:
+only by floating-point error.  It has two independent routes, and the tests
+hold the second to the first:
 
-* single-time ``evolve`` conjugates the density matrix by the SU(2) element
-  ``_su2`` (exp(-i H t) less its global phase, which cancels),
-  and ``info_vector`` reads the Born probabilities along each triad row
-  (never ``triad.matrix @ r``, which is how the second route projects);
-* ``info_trajectory`` rotates the Bloch vector for all times at once and
-  projects the rows onto the triad, validating the whole array once; it is
-  what ``conservation_check`` and ``infolab evolve`` use.
+* ``evolve`` conjugates the density matrix by the SU(2) element ``_su2``
+  (exp(-i H t) less its global phase, which cancels), and ``info_vector``
+  reads the Born probabilities along each triad row;
+* ``_trajectory`` rotates the Bloch vector for all times at once and
+  projects it as ``triad.matrix @ r``, which ``info_vector`` never does.
+  ``info_trajectory``, ``conservation_check`` and ``infolab evolve`` read
+  its one result.
 
-The tests hold the second route to the first.  A fixed-step Euler commutator
-integrator is included purely to demonstrate drift versus step size; it is not
-used by anything else.  Both routes share one unit-ball bound on the Bloch
-radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
+Each value is checked once.  Both routes share one unit-ball bound on the
+Bloch radius, |r| <= 1 + 1e-12 (``states._check_bloch``), one check of the
 InfoVector bound (``_check_info_rows``), one guard on the rotation angle
 2|a|t (``_check_angle``) and one reader of a time or an angle
-(``states._finite_real``).  Each value is checked once, on Python scalars:
-``InfoVector`` checks its three floats (numpy scalars read as the Python
-numbers they hold), ``Hamiltonian`` the entries of one ``.tolist()`` before
-storing its Pauli coefficients (a0, a) in closed form, and
-``conservation_check`` reports the totals the row check computed.
-Values derived from checked ones skip only the checks that cannot fire on
-them (``states._built``): ``conservation_check`` keeps ``_trajectory``'s
-arrays as they are, without ``ConservationReport``'s re-cast and checks,
-because the times were read and checked finite and non-empty, each total
-passed the InfoVector bound (which NaN and inf fail), and both are new arrays
-of one shape (n,); ``info_vector`` checks its six Born probabilities in one
-pass and its three components against the InfoVector bound, then builds the
-InfoVector without checking them again; ``rotate_triad`` holds the rotated
-rows to every triad rule but skips ``MeasurementTriad``'s re-cast, as the
-product of two float 3x3 arrays is a new float 3x3 array.
-``rotation_matrix`` writes the Rodrigues form entry by entry on floats, in
-numpy's order of operations, so its bits are those of the array expression.
+(``states._finite_real``).  A value built from checked values skips only the
+checks that cannot fire on it (``states._built``): ``_trajectory`` builds its
+``ConservationReport`` from the times and totals it has just checked,
+``info_vector`` its ``InfoVector`` from the three components it has just
+bounded, and ``rotate_triad`` its triad from a product it has just held to
+every triad rule.
 """
 
 from __future__ import annotations
@@ -74,7 +62,6 @@ from .states import (
     _dot,
     _finite_real,
     _frozen,
-    _integer,
     _pauli_vector,
     _real_array,
     _square_rows,
@@ -263,27 +250,6 @@ def evolve(state, h: Hamiltonian, t: float) -> QubitState:
     return QubitState(0.5 * (out + out.conj().T))  # scrub last-ulp asymmetry
 
 
-def evolve_euler(state, h: Hamiltonian, t: float, steps: int) -> np.ndarray:
-    """First-order commutator stepper rho' = rho - i dt [H, rho].
-
-    Returns the raw (unvalidated) final matrix: the whole point is that the
-    result drifts off the physical manifold as dt grows, which exact
-    evolution never does.  See demos/precession_conservation.py.  Steps that
-    overflow are refused.
-    """
-    t = _finite_real(t, "time")
-    steps = _integer(steps, "steps", 1)
-    rho = np.array(as_qubit_state(state).rho)
-    dt = t / steps
-    hm = h.matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        for _ in range(steps):
-            rho = rho - (1j * dt) * (hm @ rho - rho @ hm)
-    if not np.isfinite(rho).all():
-        raise ValueError(f"Euler steps overflow: dt = {dt!r} is too large for this Hamiltonian")
-    return rho
-
-
 def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np.ndarray:
     """Information vectors along exact evolution: an (n, 3) array, one row per time.
 
@@ -298,11 +264,12 @@ def info_trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> np
     vector must pass QubitState's unit-ball check; every row must satisfy the
     InfoVector bound.  The comparisons are written so that NaN fails them.
     """
-    return _trajectory(state, h, triad, times)[1]
+    return _trajectory(state, h, triad, times)[0]
 
 
-def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[np.ndarray, ...]:
-    """The checked times, ``info_trajectory``'s rows, and the totals its InfoVector check computes."""
+def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[np.ndarray, ConservationReport]:
+    """``info_trajectory``'s rows, and the ``ConservationReport`` of the checked
+    times and of the totals its InfoVector check computes."""
     times = _real_array(times).reshape(-1)
     if times.size == 0:
         raise ValueError("need at least one time point")
@@ -329,7 +296,8 @@ def _trajectory(state, h: Hamiltonian, triad: MeasurementTriad, times) -> tuple[
         )
     _check_bloch(bloch)
     vectors = bloch @ triad.matrix.T
-    return times, vectors, _check_info_rows(vectors)
+    # new arrays of one shape (n,), n >= 1: the times read finite, and NaN or inf totals fail the bound
+    return vectors, _built(ConservationReport, times=times, i_total_values=_check_info_rows(vectors))
 
 
 def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) -> ConservationReport:
@@ -338,5 +306,4 @@ def conservation_check(state, h: Hamiltonian, triad: MeasurementTriad, times) ->
     Drift is measured against the value at the first listed time; for exact
     evolution it stays at floating-point noise.
     """
-    times, _, totals = _trajectory(state, h, triad, times)
-    return _built(ConservationReport, times=times, i_total_values=totals)  # both checked by _trajectory
+    return _trajectory(state, h, triad, times)[1]

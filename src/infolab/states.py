@@ -26,13 +26,14 @@ Hermitian (the off-diagonal entries are conjugates), of unit trace (to
 rounding, far inside ATOL) and finite (from a checked finite r), so it skips
 the density matrix's re-read and ``_check_density``; it keeps both unit-ball
 checks, as the Bloch vector read back from its rows may exceed |r| by an ulp.
-``QubitState.bloch`` and ``MeasurementTriad.matrix`` are stored once, in
-closed forms bit-identical to the einsum and determinant they replace.  The
-seeded samplers at the end are the ones the ``verify`` checks and the test
-suite draw from: the batch samplers ``random_directions`` and
-``random_bloch_vectors`` return (n, 3) arrays, and ``random_direction`` and
-``random_qubit_state`` wrap them to return one validated value (``pure=True``
-draws from the sphere's surface).
+``QubitState.bloch`` and ``MeasurementTriad.matrix`` are computed and stored
+once; Bloch vectors and the triad's determinant are closed forms on Python
+floats (``_pauli_vector``, ``_cross``, ``_dot``).  The seeded samplers at
+the end are the ones the ``verify`` checks and the test suite draw from: the
+batch samplers ``random_directions`` and ``random_bloch_vectors`` return
+(n, 3) arrays, and ``random_direction`` and ``random_qubit_state`` wrap them
+to return one validated value (``pure=True`` draws from the sphere's
+surface).
 """
 
 from __future__ import annotations

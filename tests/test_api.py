@@ -29,7 +29,7 @@ PUBLIC = {
     "TwoQubitState", "X_DIR", "Y_DIR", "Z_DIR",
     "bell_state", "born_probabilities", "bz_elementary", "bz_measure", "bz_total_closed",
     "conservation_check", "correlation", "correlation_matrix", "density_from_bloch", "evolve",
-    "evolve_euler", "i_corr", "ideal_bz_total", "info_condition_entangled", "info_trajectory",
+    "i_corr", "ideal_bz_total", "info_condition_entangled", "info_trajectory",
     "info_vector", "max_i_corr", "named_state", "normalization_factor", "outcome_probabilities",
     "partial_trace", "product_state", "random_direction", "random_qubit_state", "random_triad",
     "ratio_sweep", "rotate_triad", "rotation_matrix", "shannon", "thresholds",

@@ -16,6 +16,8 @@ from hypothesis.extra.numpy import arrays
 import infolab.cli as cli
 from infolab.cli import _resolve_seed, parse_and_dispatch, reproduce_figures
 from infolab.efficiency import EfficiencyModel, K_THREE, bz_total_closed, thresholds
+from infolab.infospace import Hamiltonian, conservation_check
+from infolab.states import CANONICAL_TRIAD, density_from_bloch
 from infolab.verify import DEFAULT_SEED
 
 
@@ -222,6 +224,29 @@ class TestEvolveCommand:
         assert run(capsys, *args, "--out", str(first))[0] == 0
         assert run(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "hamiltonian, grid",
+        [("0.3,-1.1,0.7", "0:10:0.1"), ("0,0,0", "0:5:0.5"), ("1,2,3", "2:2:1")],
+        ids=["generic", "zero-hamiltonian", "one-point"],
+    )
+    def test_report_agrees_with_conservation_check(self, capsys, hamiltonian, grid):
+        state = "0.3,-0.2,0.4"
+        code, out, err = run(
+            capsys, "evolve", "--state", state, "--hamiltonian", hamiltonian,
+            "--t", "1", "--report-conservation", "--times", grid,
+        )
+        report = conservation_check(
+            density_from_bloch(np.array([0.3, -0.2, 0.4])),
+            Hamiltonian.from_pauli_coefficients(np.array([float(c) for c in hamiltonian.split(",")])),
+            CANONICAL_TRIAD,
+            cli._parse_times(grid),
+        )
+        cells = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0
+        assert [row[0] for row in cells] == [f"{t:.12g}" for t in report.times]
+        assert [row[4] for row in cells] == [f"{v:.12g}" for v in report.i_total_values]
+        assert err == f"max_drift={report.max_drift:.3e}\n"
 
 
 class TestMalformedEvolve:

@@ -17,7 +17,6 @@ from infolab.infospace import (
     _totals,
     conservation_check,
     evolve,
-    evolve_euler,
     info_trajectory,
     info_vector,
     rotate_triad,
@@ -289,7 +288,7 @@ class TestNonFiniteInput:
             rotate_triad(CANONICAL_TRIAD, Z_DIR, bad)
         h = random_hamiltonian(2)
         with pytest.raises(ValueError, match=f"time must be finite, got {bad!r}"):
-            evolve_euler(named_state("plus-x"), h, bad, 3)
+            evolve(named_state("plus-x"), h, bad)
 
     @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0])
     def test_hamiltonian_rejects_hbar(self, hbar):
@@ -356,14 +355,6 @@ def evolve_time(t):
     return evolve(named_state("plus-x"), _H, t)
 
 
-def euler_time(t):
-    return evolve_euler(named_state("plus-x"), _H, t, 3)
-
-
-def euler_steps(steps):
-    return evolve_euler(named_state("plus-x"), _H, 1.0, steps)
-
-
 def sweep_low(eta_min):
     return ratio_sweep(eta_min, 1.0, 3)
 
@@ -411,8 +402,8 @@ class TestRealInputOnly:
             (report_values, np.array([1.0, 1.0 + 1j]), "complex128"),
             (evolve_time, 1j, "complex128"),
             (evolve_time, "0.5", "<U3"),
-            (euler_time, 1j, "complex128"),
-            (euler_time, "0.5", "<U3"),
+            (evolve_time, 0.5 + 0j, "complex128"),
+            (evolve_time, "nan", "<U3"),
             (rotation_angle, 1j, "complex128"),
             (rotation_angle, "0.5", "<U3"),
             (triad_angle, 1j, "complex128"),
@@ -435,7 +426,7 @@ class TestRealInputOnly:
 
     @pytest.mark.parametrize(
         "build, value, what",
-        [(evolve_time, [0.5, 1.0], "time"), (euler_time, np.array([0.5]), "time"),
+        [(evolve_time, [0.5, 1.0], "time"), (evolve_time, np.array([0.5]), "time"),
          (rotation_angle, np.zeros((1, 1)), "rotation angle"), (triad_angle, [], "rotation angle"),
          (EfficiencyModel, np.array([0.5]), "efficiency"),
          (werner_state, np.array([0.5]), "Werner weight")],
@@ -447,7 +438,7 @@ class TestRealInputOnly:
 
     @pytest.mark.parametrize(
         "build, value, what",
-        [(sweep_steps, 2.5, "steps"), (euler_steps, "3", "steps"),
+        [(sweep_steps, 2.5, "steps"), (sweep_steps, "3", "steps"),
          (normalization_factor, 2.5, "number of outcomes")],
     )
     def test_count_refused_naming_the_value(self, build, value, what):
@@ -465,8 +456,6 @@ class TestRealInputOnly:
             (sweep_low, np.float64(-0.5), "eta_min must lie in [0, 1], got -0.5"),
             (sweep_steps, np.float64(3.0), "steps must be an integer, got 3.0"),
             (sweep_steps, np.int64(1), "steps must be at least 2, got 1"),
-            (euler_steps, np.float64(3.0), "steps must be an integer, got 3.0"),
-            (euler_steps, np.int64(0), "steps must be at least 1, got 0"),
             (normalization_factor, np.float64(3.0), "number of outcomes must be an integer, got 3.0"),
             (normalization_factor, np.int64(1), "number of outcomes must be at least 2, got 1"),
             (singlet_half, np.int64(2), "keep must lie in [0, 1], got 2"),
@@ -521,11 +510,6 @@ class TestRealInputOnly:
         stored = stored.matrix if build is Hamiltonian else stored.rho
         assert stored.dtype == np.complex128
         assert stored.tobytes() == np.array(values, dtype=complex).tobytes()
-
-    def test_euler_overflow_is_an_error_not_a_warning(self):
-        h = Hamiltonian.from_pauli_coefficients((0.3, 0.2, 0.1))
-        with pytest.raises(ValueError, match="Euler steps overflow"):
-            evolve_euler(named_state("plus-x"), h, 1e200, 3)
 
 
 def _born_route(state, h, triad, times):
@@ -714,21 +698,6 @@ class TestSinglePassRejections:
         with pytest.raises(ValueError) as err:
             InfoVector(*comps)
         assert str(err.value) == message
-
-
-class TestEulerStepperDrift:
-    def test_coarse_steps_drift_and_refinement_helps(self):
-        state = named_state("plus-x")
-        h = Hamiltonian.from_pauli_coefficients((0.0, 0.0, 1.0))
-        exact = evolve(state, h, 2.0).rho
-        coarse = evolve_euler(state, h, 2.0, steps=20)
-        fine = evolve_euler(state, h, 2.0, steps=20_000)
-        coarse_err = np.max(np.abs(coarse - exact))
-        fine_err = np.max(np.abs(fine - exact))
-        assert coarse_err > 1e-2          # visibly off the manifold
-        assert fine_err < coarse_err / 100
-        with pytest.raises(ValueError, match="step"):
-            evolve_euler(state, h, 1.0, steps=0)
 
 
 class TestConservation:
