@@ -10,8 +10,7 @@ Conventions:
   detail, drift) go to stderr;
 * exit code 0 on success, 2 on usage errors (unknown subcommand, malformed
   vectors or probabilities, out-of-range efficiency), 1 on computation or
-  I/O errors; every error is a single stderr line starting with ``error:``,
-  and an ``entangle icorr`` warning one starting with ``warning:``;
+  I/O errors; every error is a single stderr line starting with ``error:``;
 * values are printed as ``round(value, precision)`` (``--precision``,
   default 6); CSV files use 12-significant-digit formatting and are byte
   stable for identical invocations; every CSV table (``evolve``,
@@ -38,7 +37,6 @@ import functools
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,9 +311,7 @@ def _cmd_efficiency_figures(args: argparse.Namespace) -> int:
 
 def _cmd_entangle_icorr(args: argparse.Namespace) -> int:
     state = _parse_two_qubit_state(args.state)
-    with warnings.catch_warnings():  # each warning shown, e.g. a nearly parallel pair, on one line
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        result = i_corr(state, _parse_direction(args.d1, "d1"), _parse_direction(args.d2, "d2"))
+    result = i_corr(state, _parse_direction(args.d1, "d1"), _parse_direction(args.d2, "d2"))
     print(_fmt(result.total_bits, args.precision))
     print(
         f"E1={_fmt(result.correlations[0], args.precision)} "
@@ -405,7 +401,7 @@ def build_parser() -> _Parser:
 
     entangle = sub.add_parser("entangle", help="two-qubit correlation information")
     ent_sub = entangle.add_subparsers(dest="entangle_command", required=True)
-    icorr = ent_sub.add_parser("icorr", help="i_corr for a direction pair")
+    icorr = ent_sub.add_parser("icorr", help="i_corr for an orthogonal direction pair")
     icorr.add_argument("--state", required=True)
     icorr.add_argument("--d1", required=True)
     icorr.add_argument("--d2", required=True)

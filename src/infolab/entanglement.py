@@ -4,10 +4,10 @@ for entanglement.
 A joint proposition "the two spins are the same along d" is dichotomic, so
 its information content is the quadratic measure of the (same, different)
 probability pair: bz_elementary(p_same, p_diff) = E(d, d)^2, where E is the
-usual +-1 product expectation.  Summed over two non-parallel (in practice
-mutually orthogonal, i.e. complementary) directions this gives i_corr, which
-reaches 2 bits on Bell states but cannot exceed 1 bit on any product state;
-i_corr > 1 is therefore taken as the entanglement condition.
+usual +-1 product expectation.  Summed over two orthogonal (complementary)
+directions this gives i_corr, which reaches 2 bits on Bell states but cannot
+exceed 1 bit on any product state; i_corr > 1 is therefore taken as the
+entanglement condition.
 
 The condition is sufficient-style, not a faithful separability test: a Werner
 state w |psi-><psi-| + (1-w)/4 I has max i_corr = 2 w^2, which stays below 1
@@ -16,7 +16,6 @@ up to w = 1/sqrt(2) even though the state is entangled for all w > 1/3.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .measures import bz_elementary
 from .states import (
     ATOL,
     PAULIS,
+    TRIAD_ATOL,
     Direction,
     QubitState,
     _check_density,
@@ -35,8 +35,6 @@ from .states import (
     as_direction,
     as_qubit_state,
 )
-
-PARALLEL_WARN_TOL = 1e-9
 
 _KRON_PAULI = np.array(
     [[np.kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)]
@@ -140,23 +138,18 @@ class CorrInfoResult:
 
 
 def i_corr(state, d1, d2) -> CorrInfoResult:
-    """Correlation information E(d1, d1)^2 + E(d2, d2)^2 for two directions.
+    """Correlation information E(d1, d1)^2 + E(d2, d2)^2 for two orthogonal
+    directions.
 
-    The directions must not be parallel (that would ask the same proposition
-    twice); nearly parallel pairs are accepted with a warning.
+    The pair must be orthogonal within TRIAD_ATOL, a triad's tolerance: only
+    complementary propositions keep every product state at or below 1 bit.
     """
     state = as_two_qubit_state(state)
     d1 = as_direction(d1)
     d2 = as_direction(d2)
     overlap = abs(float(np.dot(d1.vec, d2.vec)))
-    if overlap >= 1.0 - ATOL:
-        raise ValueError("degenerate direction pair: d1 and d2 are parallel")
-    if overlap > 1.0 - PARALLEL_WARN_TOL:
-        warnings.warn(
-            f"direction pair is nearly parallel (|d1.d2| = {overlap!r}); "
-            "the two propositions are almost redundant",
-            stacklevel=2,
-        )
+    if overlap > TRIAD_ATOL:
+        raise ValueError(f"d1 and d2 must be orthogonal, got |d1.d2| = {overlap!r}")
     return _corr_info(correlation_matrix(state), d1, d2)
 
 

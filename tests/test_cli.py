@@ -101,10 +101,15 @@ class TestUsageErrors:
 
 class TestComputationErrors:
     def test_parallel_directions_exit_one(self, capsys):
-        code, _, err = run(
-            capsys, "entangle", "icorr", "--state", "bell:psi-", "--d1", "1,0,0", "--d2", "1,0,0"
-        )
-        assert code == 1 and err.startswith("error:")
+        # a non-orthogonal pair would report this product state at 1.980296 bits
+        for state, d1, d2, overlap in (
+            ("bell:psi-", "1,0,0", "1,0,0", "1.0"),
+            ("product:plus-z;plus-z", "0,0,1", "0,0.1,1", "0.9950371902099893"),
+        ):
+            argv = ("entangle", "icorr", "--state", state, "--d1", d1, "--d2", d2)
+            assert run(capsys, *argv) == (
+                1, "", f"error: d1 and d2 must be orthogonal, got |d1.d2| = {overlap}\n"
+            )
 
     def test_measure_value_outside_capacity_exit_one(self, monkeypatch, capsys):
         # valid --probs, wrong result: a computation error, not a usage error
@@ -415,14 +420,12 @@ class TestEntangleCommands:
         assert out == "2.0\n"
         assert "E1=-1.0" in err and "E2=-1.0" in err
 
-    def test_icorr_nearly_parallel_warning_is_one_line(self, capsys):
+    def test_icorr_nearly_parallel_is_one_error_line(self, capsys):
         argv = ("entangle", "icorr", "--state", "bell:psi-", "--d1", "1,0,0", "--d2", "1,1e-5,0")
         assert run(capsys, *argv) == (
-            0,
-            "2.0\n",
-            "warning: direction pair is nearly parallel (|d1.d2| = 0.99999999995); "
-            "the two propositions are almost redundant\n"
-            "E1=-1.0 E2=-1.0 I1=1.0 I2=1.0\n",
+            1,
+            "",
+            "error: d1 and d2 must be orthogonal, got |d1.d2| = 0.99999999995\n",
         )
 
     def test_negative_vector_components_accepted(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for two-qubit correlation information and the entanglement condition."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,13 @@ class TestTwoQubitState:
         with pytest.raises(ValueError, match="eigenvalue"):
             TwoQubitState(np.diag([0.75, 0.75, -0.25, -0.25]))
 
+    def test_partial_trace_keeps_the_named_qubit(self):
+        # the factors differ, so tracing out the wrong qubit returns the other one
+        first, second = named_state("plus-z"), named_state("plus-x")
+        state = product_state(first, second)
+        np.testing.assert_allclose(partial_trace(state, 0).rho, first.rho, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(state, 1).rho, second.rho, atol=1e-12)
+
     def test_partial_trace_keep_validation(self):
         with pytest.raises(ValueError, match="keep"):
             partial_trace(bell_state("psi-"), 2)
@@ -123,6 +132,14 @@ class TestCorrelation:
             assert float(a.vec @ corr @ b.vec) == pytest.approx(
                 correlation(state, a, b), abs=1e-12
             )
+        # a product's T = r1 r2^T is not symmetric, so T and its transpose differ
+        for _ in range(20):
+            product = mixed_product(rng)
+            corr = correlation_matrix(product)
+            a, b = random_direction(rng), random_direction(rng)
+            assert float(a.vec @ corr @ b.vec) == pytest.approx(
+                correlation_oracle(product, a, b), abs=1e-12
+            )
 
 
 class TestICorr:
@@ -137,16 +154,26 @@ class TestICorr:
         assert i_corr(upz_upz, Z_DIR, X_DIR).total_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_parallel_directions_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            i_corr(bell_state("psi-"), X_DIR, X_DIR)
-        with pytest.raises(ValueError, match="degenerate"):
-            i_corr(bell_state("psi-"), X_DIR, Direction((-1.0, 0.0, 0.0)))
+        upz_upz = product_state(named_state("plus-z"), named_state("plus-z"))
+        tilted = Direction.normalized((0.0, 0.1, 1.0))
+        for state, d1, d2, overlap in (
+            (bell_state("psi-"), X_DIR, X_DIR, "1.0"),
+            (bell_state("psi-"), X_DIR, Direction((-1.0, 0.0, 0.0)), "1.0"),
+            # a non-orthogonal pair would put this product state near 2 bits
+            (upz_upz, Z_DIR, tilted, "0.9950371902099893"),
+        ):
+            message = f"d1 and d2 must be orthogonal, got |d1.d2| = {overlap}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                i_corr(state, d1, d2)
 
-    def test_nearly_parallel_warns(self):
-        almost = Direction.normalized((1.0, 1e-5, 0.0))
-        with pytest.warns(UserWarning, match="nearly parallel"):
-            result = i_corr(bell_state("psi-"), X_DIR, almost)
-        assert result.total_bits == pytest.approx(2.0, abs=1e-9)
+    def test_nearly_parallel_refused(self):
+        # one rule, the triad's orthogonality tolerance: 1e-11 passes, 1e-9 does not
+        singlet = bell_state("psi-")
+        accepted = i_corr(singlet, X_DIR, Direction.normalized((1e-11, 1.0, 0.0)))
+        assert accepted.total_bits == pytest.approx(2.0, abs=1e-12)
+        for almost in ((1e-9, 1.0, 0.0), (1.0, 1e-5, 0.0)):
+            with pytest.raises(ValueError, match="must be orthogonal"):
+                i_corr(singlet, X_DIR, Direction.normalized(almost))
 
     def test_rotation_invariance(self):
         check_icorr_rotation_invariance(np.random.default_rng(19))
