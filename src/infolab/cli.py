@@ -19,8 +19,10 @@ Conventions:
   (``plus-x`` ... ``minus-z``, ``mixed``); two-qubit states are
   ``bell:{phi+,phi-,psi+,psi-}``, ``werner:W`` or ``product:S1;S2``;
 * direction vectors are rescaled to unit length, so ``--d1 1,1,0`` works;
-* ``INFOLAB_SEED`` overrides the default seed (42) wherever randomness is
-  used; ``--seed`` overrides both.
+* ``--seed`` (default 42) seeds the one subcommand that draws random
+  numbers, ``verify``;
+* any option's value but ``-h`` may start with ``-``: ``--t -1e-3``
+  reads as ``--t=-1e-3``.
 
 ``build_parser()`` builds the argument parser once per process and returns
 that same parser on every call, so in-process callers of
@@ -35,7 +37,6 @@ import argparse
 import contextlib
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -357,7 +358,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     """The process-wide parser; built on first use and shared, so do not mutate it."""
     parser = _Parser(prog=PROG, description="Information measures for qubit experiments")
-    parser.add_argument("--seed", type=int, default=None, help="override INFOLAB_SEED")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the verify draws")
     parser.add_argument(
         "--precision", type=int, default=6, help="decimal places for printed values"
     )
@@ -416,47 +417,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-# flags whose single value may start with "-" (negative vector components);
-# folded into --flag=value form so argparse does not mistake them for options
-_VALUE_FLAGS = frozenset(
-    {"--probs", "--state", "--d1", "--d2", "--hamiltonian", "--triad", "--times"}
-)
-
-
-def _merge_value_flags(argv) -> list[str]:
+def _merge_values(argv) -> list[str]:
+    # a value that starts with one "-" (-1e-3, -1,0,0) is joined to its flag as
+    # --flag=VALUE, so argparse does not take it for an option; "-" and "-h" stay
     merged = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        flag = merged[-1] if merged else ""
+        is_flag = len(flag) > 2 and flag.startswith("--") and "=" not in flag
+        if is_flag and token.startswith("-") and not (token.startswith("--") or token in ("-", "-h")):
+            merged[-1] = f"{flag}={token}"
         else:
             merged.append(token)
-            i += 1
     return merged
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    env = os.environ.get("INFOLAB_SEED")
-    if flag_value is not None:
-        seed, source = flag_value, "--seed"
-    elif env is not None:
-        seed, source = env, "INFOLAB_SEED"
-        with contextlib.suppress(ValueError):  # text that is not an integer is refused as is
-            seed = int(env)
-    else:
-        return DEFAULT_SEED
-    with _usage_errors():  # numpy's generators take non-negative seeds only
-        return _integer(seed, source, 0)
 
 
 def parse_and_dispatch(argv) -> int:
     """Parse argv and run the selected subcommand, mapping errors to exit codes."""
     try:
-        args = build_parser().parse_args(_merge_value_flags(argv))
-        args.seed = _resolve_seed(args.seed)
+        args = build_parser().parse_args(_merge_values(argv))
         with _usage_errors():
+            args.seed = _integer(args.seed, "--seed", 0)
             args.precision = _integer(args.precision, "--precision", 1)
         return args.handler(args)
     except UsageError as err:

@@ -369,7 +369,7 @@ def _born_pairs(r: np.ndarray, directions) -> list[tuple[float, float]]:
 
 # Seeded pseudo-randomness uses NumPy's default_rng (PCG64) throughout so the
 # suite is reproducible: the same seed always yields the same draws.
-DEFAULT_SEED = 42  # of ``infolab verify`` and the CLI, unless INFOLAB_SEED or --seed is set
+DEFAULT_SEED = 42  # of ``infolab verify`` and the CLI, unless --seed is set
 
 
 def random_directions(seed, n: int) -> np.ndarray:

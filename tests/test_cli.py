@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -14,11 +16,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import infolab.cli as cli
-from infolab.cli import _resolve_seed, parse_and_dispatch, reproduce_figures
+from infolab.cli import parse_and_dispatch, reproduce_figures
 from infolab.efficiency import EfficiencyModel, K_THREE, bz_total_closed, thresholds
 from infolab.infospace import Hamiltonian, conservation_check
 from infolab.states import CANONICAL_TRIAD, density_from_bloch
-from infolab.verify import DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -93,6 +94,7 @@ class TestUsageErrors:
             (("efficiency", "sweep", "--steps", "2000000"), "--steps must lie in [2, 1000000], got 2000000"),
             ((*REPORT, "0:1e9:1e-9"), "--times point count must lie in [1, 1000000], got 1e+18"),
             ((*REPORT, "-1e308:1e308:1e-300"), "--times point count must lie in [1, 1000000], got inf"),
+            (("efficiency", "sweep", "--min", "-1e-3"), "eta_min must lie in [0, 1], got -0.001"),
         ],
     )
     def test_error_line_names_the_value(self, capsys, argv, message):
@@ -180,6 +182,14 @@ class TestEvolveCommand:
         )
         assert code == 0
         assert out.strip() == "-1.0,0.0,0.0"
+
+    @pytest.mark.parametrize(
+        "t, expected", [("-1e-3", "0.999998,-0.002,0.0"), ("-2E2", "-0.525296,0.850919,0.0")]
+    )
+    def test_negative_time_in_scientific_notation(self, capsys, t, expected):
+        # "--t -1e-3" must not be mistaken for an option flag
+        spaced = run(capsys, *EVOLVE, "--t", t)
+        assert spaced == run(capsys, *EVOLVE, f"--t={t}") == (0, f"{expected}\n", "")
 
     def test_conservation_report_csv(self, tmp_path, capsys):
         out_file = tmp_path / "report.csv"
@@ -505,6 +515,82 @@ class TestCsvFormatting:
         assert cli._csv("abc", columns) == per_cell_csv("abc", columns)
 
 
+# hostile argv: numbers that argparse or float() might misread, malformed
+# vectors, states, two-qubit states and time grids, mixed with valid ones
+NUMBERS = st.sampled_from(
+    ("0.5", "-0.5", "-1e-3", "0", "-1", "-2E2", "-.5e1", "1_0", "5e-324", "1e308", "nan", "-inf", "")
+)
+INTEGERS = st.sampled_from(("3", "7", "1_0", "0", "-1", "-2E2", "1e308", "", "nan"))
+VECTORS = st.one_of(
+    st.sampled_from(("-0.5,0.5,0", "1,0,0", "0,-1e-3,0.5", "0.5,0.5")),
+    st.lists(NUMBERS, min_size=3, max_size=3).map(",".join),
+    st.lists(NUMBERS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(("1,,0", "x,y,z", ",", "-", "--1", "1;0;0", "-1,0,0:0,1,0")),
+)
+STATES = st.one_of(st.sampled_from(("plus-x", "minus-z", "mixed", "-x", "plus_x")), VECTORS)
+TWO_QUBIT_STATES = st.one_of(
+    st.sampled_from(("bell:phi+", "bell:psi-", "bell:xx", "bell", "product:plus-x", "", "ghz:1")),
+    NUMBERS.map("werner:{}".format),
+    st.tuples(STATES, STATES).map(lambda pair: "product:{};{}".format(*pair)),
+)
+TRIADS = st.one_of(
+    st.sampled_from(("0,1,0:-1,0,0:0,0,1", "1,0,0:0,-1,0:0,0,-1", "-1,0,0:0,-1,0:0,0,1")),
+    st.lists(VECTORS, min_size=2, max_size=4).map(":".join),
+)
+# every finite NUMBER but 1e308 has |x| <= 2E2, so with these steps an accepted
+# grid has at most a few hundred points: a wider span exceeds the point cap
+STEPS = st.sampled_from(("0.5", "1", "1e308", "-.5e1", "0", "nan", "5e-324", ""))
+GRIDS = st.one_of(
+    st.tuples(NUMBERS, NUMBERS, STEPS).map(":".join),
+    st.sampled_from(("0:1", "0:1:0.5:1", "1:0:1", "a:b:c")),
+)
+
+
+@st.composite
+def hostile_argv(draw):
+    def option(flag, values):  # the spaced form goes through the argv rewrite
+        value = draw(values)
+        return [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+
+    def maybe(flag, values):
+        return option(flag, values) if draw(st.booleans()) else []
+
+    commands = ("measure", "info-vector", "evolve", "report", "sweep", "thresholds", "icorr")
+    command = draw(st.sampled_from(commands))
+    if command == "measure":
+        argv = ["measure", draw(st.sampled_from(("shannon", "bz"))), *option("--probs", VECTORS)]
+    elif command == "info-vector":
+        argv = ["qubit", "info-vector", *option("--state", STATES), *maybe("--triad", TRIADS)]
+    elif command in ("evolve", "report"):
+        argv = ["evolve", *option("--state", STATES), *option("--hamiltonian", VECTORS), *option("--t", NUMBERS)]
+        if command == "report":
+            argv += ["--report-conservation", *option("--times", GRIDS), *maybe("--triad", TRIADS)]
+    elif command == "sweep":
+        argv = ["efficiency", "sweep", *maybe("--min", NUMBERS), *maybe("--max", NUMBERS)]
+        argv += maybe("--steps", INTEGERS)
+    elif command == "thresholds":
+        argv = ["efficiency", "thresholds"]
+    else:
+        argv = ["entangle", "icorr", *option("--state", TWO_QUBIT_STATES)]
+        argv += [*option("--d1", VECTORS), *option("--d2", VECTORS)]
+    leading = [*maybe("--seed", INTEGERS), *maybe("--precision", INTEGERS)]
+    return [*(leading if draw(st.booleans()) else []), *argv]
+
+
+class TestCliContract:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(hostile_argv())
+    def test_result_or_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = parse_and_dispatch(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not re.search("nan|inf", out, re.IGNORECASE)
+
+
 class TestParserReuse:
     SEQUENCE = (
         ("evolve", "--state", "plus-x"),  # usage error: required flags missing
@@ -534,34 +620,6 @@ def test_importing_cli_leaves_the_invariant_suite_unloaded():
     # only the verify subcommand imports infolab.verify; every other CLI process skips it
     done = _python("-c", "import sys, infolab.cli; print('infolab.verify' in sys.modules)")
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
-
-
-class TestSeedResolution:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("INFOLAB_SEED", raising=False)
-        assert _resolve_seed(None) == DEFAULT_SEED
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("INFOLAB_SEED", "777")
-        assert _resolve_seed(None) == 777
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("INFOLAB_SEED", "777")
-        assert _resolve_seed(123) == 123
-
-    def test_bad_env_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("INFOLAB_SEED", "not-a-seed")
-        code, _, err = run(capsys, "measure", "bz", "--probs", "1,0")
-        assert code == 2 and "INFOLAB_SEED" in err
-
-    @pytest.mark.parametrize(
-        "env, flag, source", [("-3", (), "INFOLAB_SEED"), ("5", ("--seed", "-1"), "--seed")]
-    )
-    def test_negative_seed_is_usage_error(self, monkeypatch, capsys, env, flag, source):
-        monkeypatch.setenv("INFOLAB_SEED", env)
-        code, out, err = run(capsys, *flag, "verify")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and source in err
 
 
 README = Path(__file__).parent.parent / "README.md"

@@ -117,9 +117,10 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert calls["seed"] == 9
 
-    def test_env_seed_reaches_runner(self, monkeypatch, capsys):
+    def test_seed_environment_variable_is_not_read(self, monkeypatch, capsys):
         calls = self._patched(monkeypatch, [PropertyCheck("alpha", True, "ok")])
-        monkeypatch.setenv("INFOLAB_SEED", "31415")
+        monkeypatch.setenv("INFOLAB_SEED", "not-a-seed")
+        assert cli.parse_and_dispatch(["measure", "bz", "--probs", "1,0"]) == 0
         assert cli.parse_and_dispatch(["verify"]) == 0
         capsys.readouterr()
-        assert calls["seed"] == 31415
+        assert calls["seed"] == 42
