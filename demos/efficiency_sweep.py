@@ -13,7 +13,6 @@ every eta.
 import numpy as np
 
 from infolab import (
-    EfficiencyModel,
     bz_measure,
     bz_total_closed,
     ideal_bz_total,
@@ -28,15 +27,14 @@ from infolab.efficiency import K_THREE
 def main():
     print("Outcome statistics (up, down, none) for a spin-up-x particle:")
     for eta in (1.0, 2.0 / 3.0, 0.25):
-        px, py, _ = outcome_probabilities(EfficiencyModel(eta))
+        px, py, _ = outcome_probabilities(eta)
         print(f"  eta = {eta:.4f}:  along x {np.round(px.probs, 4).tolist()}"
               f"   along y,z {np.round(py.probs, 4).tolist()}")
 
     print("\nQuadratic information per direction and in total:")
     for eta in (0.0, 0.25, 0.6, 0.905505, 1.0):
-        model = EfficiencyModel(eta)
-        i1, i2, i3 = map(bz_measure, outcome_probabilities(model))
-        total = bz_total_closed(model)
+        i1, i2, i3 = map(bz_measure, outcome_probabilities(eta))
+        total = bz_total_closed(eta)
         print(
             f"  eta = {eta:.4f}:  I = ({i1:.4f}, {i2:.4f}, {i3:.4f})"
             f"   total = {total:.4f}   total/k = {total / K_THREE:.4f}"
@@ -48,12 +46,12 @@ def main():
 
     print("\nShannon uncertainties behave tamely across the same range:")
     for eta in (0.25, 0.5, 2.0 / 3.0, 0.9):
-        hx, hy, _ = map(shannon, outcome_probabilities(EfficiencyModel(eta)))
+        hx, hy, _ = map(shannon, outcome_probabilities(eta))
         print(f"  eta = {eta:.4f}:  Hx = {hx:.5f}   Hy = Hz = {hy:.5f}")
     print("  Hx peaks at eta = 1/2 (1 bit); Hy = Hz peaks at eta = 2/3 (log2 3 bits).")
 
     print("\nPerfect detection is a structural change, not a limit:")
-    print(f"  three-outcome total at eta = 1: {bz_total_closed(EfficiencyModel(1.0)):.5f} bits")
+    print(f"  three-outcome total at eta = 1: {bz_total_closed(1.0):.5f} bits")
     print(f"  two-outcome (ideal mode) total: {ideal_bz_total():.5f} bit")
     print("  Comparing experiments with different eta therefore compares different")
     print("  outcome counts, and the 'conserved' total is not conserved at all.")

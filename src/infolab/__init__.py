@@ -11,7 +11,6 @@ correlation-information condition for entanglement (:mod:`.entanglement`).
 """
 
 from .efficiency import (
-    EfficiencyModel,
     SweepTable,
     bz_total_closed,
     ideal_bz_total,

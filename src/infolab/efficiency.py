@@ -27,11 +27,13 @@ mode (total of 1 bit) is kept separate in ideal_bz_total rather than being
 silently conflated with the n = 3 model, which at eta = 1 still gives
 (3/2) log2 3 bits.
 
-The closed forms above are written once, in _closed_forms, which works on a
-scalar or an array of eta: bz_total_closed wraps it and ratio_sweep calls it
-once for the whole grid.  SweepTable.validate is the one check of a sweep's
-row identities; it compares every row with the generic measures of that
-row's outcome distributions and returns the worst gap.
+The model is a function of eta, the overall detector efficiency, identical
+along all three directions: outcome_probabilities(eta) and bz_total_closed(eta)
+each read it once.  The closed forms above are written once, in _closed_forms,
+which works on a scalar or an array of eta: bz_total_closed wraps it and
+ratio_sweep calls it once for the whole grid.  SweepTable.validate is the one
+check of a sweep's row identities; it compares every row with the generic
+measures of that row's outcome distributions and returns the worst gap.
 """
 
 from __future__ import annotations
@@ -47,23 +49,11 @@ from .states import ProbDist, _finite_real, _integer
 K_THREE = math.log2(3.0)
 
 
-@dataclass(frozen=True)
-class EfficiencyModel:
-    """Overall detector efficiency, identical along all three directions, as a Python float."""
-
-    eta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", _finite_real(self.eta, "efficiency", 0, 1))
-
-
-def outcome_probabilities(m: EfficiencyModel) -> tuple[ProbDist, ProbDist, ProbDist]:
-    """(up, down, none) distributions along x, y, z for a spin-up-x particle."""
-    eta = m.eta
-    along_x = ProbDist((eta, 0.0, 1.0 - eta))
-    along_y = ProbDist((0.5 * eta, 0.5 * eta, 1.0 - eta))
-    along_z = ProbDist((0.5 * eta, 0.5 * eta, 1.0 - eta))
-    return along_x, along_y, along_z
+def outcome_probabilities(eta: float) -> tuple[ProbDist, ProbDist, ProbDist]:
+    """(up, down, none) distributions along x, y, z for a spin-up-x particle; y and z share one."""
+    eta = _finite_real(eta, "efficiency", 0, 1)
+    along_yz = ProbDist((0.5 * eta, 0.5 * eta, 1.0 - eta))
+    return ProbDist((eta, 0.0, 1.0 - eta)), along_yz, along_yz
 
 
 def _closed_forms(eta):
@@ -83,9 +73,9 @@ def _closed_forms(eta):
     return i1, i23, total, hx, hx + eta
 
 
-def bz_total_closed(m: EfficiencyModel) -> float:
+def bz_total_closed(eta: float) -> float:
     """Closed-form total I1 + I2 + I3 = (3 log2(3) / 2) (5 eta^2 - 6 eta + 2)."""
-    return float(_closed_forms(m.eta)[2])
+    return float(_closed_forms(_finite_real(eta, "efficiency", 0, 1))[2])
 
 
 def ideal_bz_total() -> float:
@@ -140,7 +130,7 @@ class SweepTable:
         generic = np.full((len(self), 6), np.nan)
         for idx, eta in enumerate(self.eta.tolist()):
             if 0.0 <= eta <= 1.0:
-                dists = outcome_probabilities(EfficiencyModel(eta))
+                dists = outcome_probabilities(eta)
                 generic[idx] = [*map(bz_measure, dists), *map(shannon, dists)]
         total = self.i_total
         gaps = np.abs(

@@ -25,6 +25,7 @@ from .infospace import (
     _su2,
     conservation_check,
     evolve,
+    info_trajectory,
     info_vector,
     rotate_triad,
     rotation_matrix,
@@ -34,6 +35,9 @@ from .measures import _bz_rows, _shannon_rows, bz_elementary, bz_measure, shanno
 from .states import (
     CANONICAL_TRIAD,
     DEFAULT_SEED,
+    X_DIR,
+    Y_DIR,
+    Z_DIR,
     Direction,
     _check_prob_rows,
     born_probabilities,
@@ -261,7 +265,7 @@ def check_efficiency_monotonicity(rng) -> str:
 
 def check_ideal_mode_discontinuity(rng) -> str:
     ideal = eff.ideal_bz_total()
-    limit = eff.bz_total_closed(eff.EfficiencyModel(1.0))
+    limit = eff.bz_total_closed(1.0)
     assert ideal == 1.0
     assert abs(limit - 1.5 * eff.K_THREE) <= 1e-12
     assert abs(limit - ideal) > 1.0
@@ -358,6 +362,37 @@ def check_werner_crossing(rng) -> str:
     return f"condition flips at w = {crossing:.5f} (expected 0.70711)"
 
 
+def check_trajectory_agreement(rng) -> str:
+    """Each row of the one-pass trajectory matches evolving the state to its time."""
+    gaps = []
+    for _ in range(50):
+        state, h, triad = random_qubit_state(rng), _random_hamiltonian(rng), random_triad(rng)
+        times = np.sort(rng.uniform(0.0, 5.0, 20))
+        rows = info_trajectory(state, h, triad, times)
+        single = [info_vector(evolve(state, h, t), triad).as_array() for t in times.tolist()]
+        gaps.append(np.abs(rows - single))
+    worst = float(np.max(gaps))
+    assert worst <= 1e-12, f"trajectory and evolve disagree by {worst:.3e}"
+    return f"50 trajectories x 20 times, worst component gap {worst:.2e}"
+
+
+def check_correlation_matrix_oracle(rng) -> str:
+    """Each entry T_ij of the correlation matrix is E(e_i, e_j)."""
+    axes = (X_DIR, Y_DIR, Z_DIR)
+    gaps = []
+    for _ in range(50):
+        state = _random_two_qubit_state(rng)
+        t = ent.correlation_matrix(state)
+        gaps += [
+            t[i, j] - ent.correlation(state, a, b)
+            for i, a in enumerate(axes)
+            for j, b in enumerate(axes)
+        ]
+    worst = float(np.max(np.abs(gaps)))
+    assert worst <= 1e-12, f"correlation matrix off its oracle by {worst:.3e}"
+    return f"50 mixtures x 9 entries, worst gap {worst:.2e}"
+
+
 ALL_CHECKS = (
     ("born-probability-bounds", check_born_probability_bounds),
     ("bloch-roundtrip", check_bloch_roundtrip),
@@ -380,6 +415,8 @@ ALL_CHECKS = (
     ("product-state-maximizer-bound", check_product_state_maximizer_bound),
     ("singlet-max", check_singlet_max),
     ("werner-crossing", check_werner_crossing),
+    ("trajectory-agreement", check_trajectory_agreement),
+    ("correlation-matrix-oracle", check_correlation_matrix_oracle),
 )
 
 

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from infolab.efficiency import (
-    EfficiencyModel,
     K_THREE,
     _closed_forms,
     outcome_probabilities,
@@ -80,8 +79,7 @@ def test_criterion_2_figure1():
         for eta, ratio in zip(table.eta, table.ratio):
             closed_form = (1.5 * math.log2(3.0)) * (5 * eta * eta - 6 * eta + 2) / K_THREE
             assert abs(ratio - closed_form) <= 1e-12, f"closed form mismatch at {eta}"
-            model = EfficiencyModel(float(eta))
-            oracle = sum(bz_measure(d) for d in outcome_probabilities(model)) / K_THREE
+            oracle = sum(bz_measure(d) for d in outcome_probabilities(eta)) / K_THREE
             assert abs(ratio - oracle) <= 1e-12, f"generic oracle mismatch at {eta}"
             outside = eta < lo or eta > hi
             assert (ratio > 1.0) == outside, f"sign pattern broken at {eta}"

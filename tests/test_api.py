@@ -24,7 +24,7 @@ CALLERS = [
 ]
 
 PUBLIC = {
-    "CANONICAL_TRIAD", "ConservationReport", "CorrInfoResult", "Direction", "EfficiencyModel",
+    "CANONICAL_TRIAD", "ConservationReport", "CorrInfoResult", "Direction",
     "Hamiltonian", "InfoVector", "MeasurementTriad", "ProbDist", "QubitState", "SweepTable",
     "TwoQubitState", "X_DIR", "Y_DIR", "Z_DIR",
     "bell_state", "born_probabilities", "bz_elementary", "bz_measure", "bz_total_closed",
@@ -99,7 +99,7 @@ def test_benchmark_and_demos_reference_live_names():
         "infolab.cli.parse_and_dispatch",
         "infolab.states.density_from_bloch",
         "infolab.infospace.InfoVector",
-        "infolab.EfficiencyModel",
+        "infolab.outcome_probabilities",
         "infolab.efficiency.K_THREE",
     } <= seen
 

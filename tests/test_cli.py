@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import infolab.cli as cli
 from infolab.cli import parse_and_dispatch, reproduce_figures
-from infolab.efficiency import EfficiencyModel, K_THREE, bz_total_closed, thresholds
+from infolab.efficiency import K_THREE, bz_total_closed, thresholds
 from infolab.infospace import Hamiltonian, conservation_check
 from infolab.states import CANONICAL_TRIAD, density_from_bloch
 
@@ -408,7 +408,7 @@ class TestReproduceFigures:
         # the curve behind fig1 crosses exactly 1 at the computed thresholds
         lo, hi = thresholds()
         for eta in (lo, hi):
-            assert abs(bz_total_closed(EfficiencyModel(eta)) / K_THREE - 1.0) <= 1e-9
+            assert abs(bz_total_closed(eta) / K_THREE - 1.0) <= 1e-9
 
     def test_fig2_maxima_markers(self, tmp_path):
         reproduce_figures(tmp_path)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from infolab.efficiency import (
-    EfficiencyModel,
     K_THREE,
     _closed_forms,
     bz_total_closed,
@@ -23,29 +22,40 @@ LOG2_3 = math.log2(3.0)
 
 class TestOutcomeProbabilities:
     def test_perfect_efficiency(self):
-        px, py, pz = outcome_probabilities(EfficiencyModel(1.0))
+        px, py, pz = outcome_probabilities(1.0)
         np.testing.assert_allclose(px.probs, (1.0, 0.0, 0.0))
         np.testing.assert_allclose(py.probs, (0.5, 0.5, 0.0))
         np.testing.assert_allclose(pz.probs, (0.5, 0.5, 0.0))
 
     def test_zero_efficiency(self):
-        for dist in outcome_probabilities(EfficiencyModel(0.0)):
+        for dist in outcome_probabilities(0.0):
             np.testing.assert_allclose(dist.probs, (0.0, 0.0, 1.0))
 
     def test_uniform_point_along_y(self):
-        _, py, _ = outcome_probabilities(EfficiencyModel(2.0 / 3.0))
+        _, py, _ = outcome_probabilities(2.0 / 3.0)
         np.testing.assert_allclose(py.probs, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_each_sums_to_one_exactly(self):
         for eta in np.linspace(0.0, 1.0, 37):
-            for dist in outcome_probabilities(EfficiencyModel(float(eta))):
+            for dist in outcome_probabilities(float(eta)):
                 assert float(dist.probs.sum()) == 1.0
 
     def test_domain_error(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            EfficiencyModel(1.2)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            EfficiencyModel(-0.1)
+        cases = (
+            (1.2, "efficiency must lie in [0, 1], got 1.2"),
+            (-0.1, "efficiency must lie in [0, 1], got -0.1"),
+            (float("nan"), "efficiency must be finite, got nan"),
+        )
+        for build in (outcome_probabilities, bz_total_closed):
+            for eta, message in cases:
+                with pytest.raises(ValueError) as err:
+                    build(eta)
+                assert str(err.value) == message, build.__name__
+
+    def test_y_and_z_are_equal(self):
+        for eta in np.linspace(0.0, 1.0, 37):
+            _, py, pz = outcome_probabilities(float(eta))
+            assert np.array_equal(py.probs, pz.probs)
 
 
 class TestBzComponents:
@@ -55,7 +65,7 @@ class TestBzComponents:
     def test_perfect_efficiency_values(self):
         # oracle: generic quadratic measure on (1,0,0) and (1/2,1/2,0)
         i1, i23, _, _, _ = _closed_forms(1.0)
-        _, py, pz = outcome_probabilities(EfficiencyModel(1.0))
+        _, py, pz = outcome_probabilities(1.0)
         assert i1 == pytest.approx(bz_measure((1.0, 0.0, 0.0)), abs=1e-12)
         assert i23 == pytest.approx(bz_measure((0.5, 0.5, 0.0)), abs=1e-12)
         assert i1 == pytest.approx(LOG2_3, abs=1e-12)
@@ -74,21 +84,19 @@ class TestBzComponents:
 
 class TestBzTotal:
     def test_perfect_efficiency(self):
-        model = EfficiencyModel(1.0)
-        oracle = sum(bz_measure(d) for d in outcome_probabilities(model))
-        assert bz_total_closed(model) == pytest.approx(oracle, abs=1e-12)
-        assert bz_total_closed(model) == pytest.approx(1.5 * LOG2_3, abs=1e-12)
+        oracle = sum(bz_measure(d) for d in outcome_probabilities(1.0))
+        assert bz_total_closed(1.0) == pytest.approx(oracle, abs=1e-12)
+        assert bz_total_closed(1.0) == pytest.approx(1.5 * LOG2_3, abs=1e-12)
 
     def test_vertex_minimum(self):
-        assert bz_total_closed(EfficiencyModel(0.6)) == pytest.approx(
+        assert bz_total_closed(0.6) == pytest.approx(
             0.2 * 1.5 * LOG2_3, abs=1e-12
         )
 
     def test_zero_efficiency(self):
-        model = EfficiencyModel(0.0)
-        oracle = sum(bz_measure(d) for d in outcome_probabilities(model))
-        assert bz_total_closed(model) == pytest.approx(oracle, abs=1e-12)
-        assert bz_total_closed(model) == pytest.approx(3.0 * LOG2_3, abs=1e-12)
+        oracle = sum(bz_measure(d) for d in outcome_probabilities(0.0))
+        assert bz_total_closed(0.0) == pytest.approx(oracle, abs=1e-12)
+        assert bz_total_closed(0.0) == pytest.approx(3.0 * LOG2_3, abs=1e-12)
 
 
 class TestShannonComponents:
@@ -101,7 +109,7 @@ class TestShannonComponents:
 
     def test_two_thirds_maximum_along_y(self):
         hyz = _closed_forms(2.0 / 3.0)[4]
-        _, py, pz = outcome_probabilities(EfficiencyModel(2.0 / 3.0))
+        _, py, pz = outcome_probabilities(2.0 / 3.0)
         assert hyz == pytest.approx(LOG2_3, abs=1e-12)
         assert shannon(pz) == shannon(py)
 
@@ -112,7 +120,7 @@ class TestShannonComponents:
     def test_offset_identity(self):
         for eta in np.linspace(0.0, 1.0, 101):
             _, _, _, hx, hyz = _closed_forms(float(eta))
-            _, py, pz = outcome_probabilities(EfficiencyModel(float(eta)))
+            _, py, pz = outcome_probabilities(float(eta))
             assert shannon(py) == shannon(pz)
             assert hyz == pytest.approx(hx + eta, abs=1e-12)
 
@@ -127,13 +135,13 @@ class TestThresholds:
 
     def test_ratio_is_one_at_thresholds(self):
         for eta in thresholds():
-            ratio = bz_total_closed(EfficiencyModel(eta)) / K_THREE
+            ratio = bz_total_closed(eta) / K_THREE
             assert ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_bisection_cross_check(self):
         # independent oracle: bisect ratio - 1 on brackets around each root
         def ratio(eta):
-            return bz_total_closed(EfficiencyModel(eta)) / K_THREE - 1.0
+            return bz_total_closed(eta) / K_THREE - 1.0
 
         expected = thresholds()
         for bracket, target in zip(((0.1, 0.5), (0.7, 0.99)), expected):
@@ -158,7 +166,7 @@ class TestIdealMode:
         # switching from the 3-outcome model at eta = 1 to ideal 2-outcome
         # statistics changes the total from (3/2) log2 3 to exactly 1 bit
         assert ideal_bz_total() == 1.0
-        three_outcome = bz_total_closed(EfficiencyModel(1.0))
+        three_outcome = bz_total_closed(1.0)
         assert three_outcome == pytest.approx(1.5 * LOG2_3, abs=1e-12)
         assert three_outcome - ideal_bz_total() > 1.0
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolab.efficiency import EfficiencyModel, ratio_sweep
+from infolab.efficiency import bz_total_closed, outcome_probabilities, ratio_sweep
 from infolab.entanglement import TwoQubitState, bell_state, partial_trace, werner_state
 from infolab.infospace import (
     ConservationReport,
@@ -414,8 +414,9 @@ class TestRealInputOnly:
             (QubitState, [[0.5, None], [None, 0.5]], "object"),
             (werner_state, "0.5", "<U3"),
             (werner_state, 0.5 + 0j, "complex128"),
-            (EfficiencyModel, "0.5", "<U3"),
+            (outcome_probabilities, "0.5", "<U3"),
             (sweep_low, "0", "<U1"),
+            (bz_total_closed, "0.5", "<U3"),
         ],
     )
     def test_refused_naming_the_type(self, build, values, dtype):
@@ -428,8 +429,9 @@ class TestRealInputOnly:
         "build, value, what",
         [(evolve_time, [0.5, 1.0], "time"), (evolve_time, np.array([0.5]), "time"),
          (rotation_angle, np.zeros((1, 1)), "rotation angle"), (triad_angle, [], "rotation angle"),
-         (EfficiencyModel, np.array([0.5]), "efficiency"),
-         (werner_state, np.array([0.5]), "Werner weight")],
+         (outcome_probabilities, np.array([0.5]), "efficiency"),
+         (werner_state, np.array([0.5]), "Werner weight"),
+         (bz_total_closed, np.array([0.5]), "efficiency")],
     )
     def test_scalar_refused_naming_its_shape(self, build, value, what):
         with pytest.raises(ValueError) as err:
@@ -449,8 +451,8 @@ class TestRealInputOnly:
     @pytest.mark.parametrize(
         "build, value, message",
         [
-            (EfficiencyModel, np.float64(1.5), "efficiency must lie in [0, 1], got 1.5"),
-            (EfficiencyModel, np.float32(-0.5), "efficiency must lie in [0, 1], got -0.5"),
+            (outcome_probabilities, np.float64(1.5), "efficiency must lie in [0, 1], got 1.5"),
+            (outcome_probabilities, np.float32(-0.5), "efficiency must lie in [0, 1], got -0.5"),
             (werner_state, np.float64(1.5), "Werner weight must lie in [0, 1], got 1.5"),
             (werner_state, np.float64("nan"), "Werner weight must be finite, got nan"),
             (sweep_low, np.float64(-0.5), "eta_min must lie in [0, 1], got -0.5"),
@@ -460,6 +462,8 @@ class TestRealInputOnly:
             (normalization_factor, np.int64(1), "number of outcomes must be at least 2, got 1"),
             (singlet_half, np.int64(2), "keep must lie in [0, 1], got 2"),
             (singlet_half, 0.0, "keep must be an integer, got 0.0"),  # a float is no index, even 0.0
+            (bz_total_closed, np.float64(1.5), "efficiency must lie in [0, 1], got 1.5"),
+            (bz_total_closed, np.float32(-0.5), "efficiency must lie in [0, 1], got -0.5"),
         ],
     )
     def test_scalar_refused_naming_the_python_number(self, build, value, message):
